@@ -30,7 +30,7 @@ from .graphs import (
     planted_instance,
     serialize_graph,
 )
-from .pipeline import PipelineConfig, approximate_mbb, run_experiment
+from .pipeline import PipelineConfig, approximate_mbb, run_experiment, write_text_atomic
 from .rounding import RoundingParams, diagnostics, round_many
 from .sdp import (
     FEASIBLE,
@@ -63,7 +63,7 @@ def _load_graph(path: str) -> BipartiteGraph:
 
 def _emit_text(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        write_text_atomic(output, text)
     else:
         sys.stdout.write(text)
 
@@ -118,7 +118,7 @@ def _cmd_solve_sdp(args) -> int:
     build = build_weak_relaxation if args.relaxation == "weak" else build_strong_relaxation
     problem = build(graph, args.k)
     if args.export:
-        Path(args.export).write_text(export_problem(problem), encoding="utf-8")
+        write_text_atomic(args.export, export_problem(problem))
     config = _solver_config(args)
     outcome = solve_feasibility(problem, config)
     payload = {
@@ -132,7 +132,7 @@ def _cmd_solve_sdp(args) -> int:
         report = check_feasibility(problem, outcome.gram, eps=config.eps_feas)
         payload["min_eigenvalue"] = report.min_eigenvalue
         if args.gram_output:
-            Path(args.gram_output).write_text(gram_to_text(outcome.gram), encoding="utf-8")
+            write_text_atomic(args.gram_output, gram_to_text(outcome.gram))
     _emit_json(payload, args.output)
     if outcome.status == FEASIBLE:
         return 0
@@ -203,7 +203,6 @@ def _cmd_pipeline(args) -> int:
         trials=args.trials,
         seed=args.seed,
         use_exact=args.exact,
-        output_path=args.output,
     )
     if args.k_hi is not None:
         config.k_hi = args.k_hi

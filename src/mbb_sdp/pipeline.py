@@ -12,8 +12,10 @@ non-monotone anomaly it observes.  A pure binary search sits behind a flag.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +51,7 @@ __all__ = [
     "approximate_mbb",
     "greedy_baseline",
     "run_experiment",
+    "write_text_atomic",
     "CSV_COLUMNS",
 ]
 
@@ -57,10 +60,29 @@ CSV_COLUMNS = ("instance", "n", "planted_k", "found_size", "exact_size", "method
 SKIPPED_BY_BOUND = "skipped-by-degree-bound"
 
 
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` to ``path`` so readers see the old file or the new one,
+    never a partial one: write a temp file in the same directory, then
+    ``os.replace`` it.  Paths that exist but are not regular files (a pipe,
+    /dev/stdout) are written in place."""
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8")
+        return
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 @dataclass
 class PipelineConfig:
     """Pipeline knobs: search mode and range, solver and rounding settings,
-    method toggles, and where the CLI should write the report."""
+    and method toggles."""
 
     search: str = "scan"
     k_lo: int = 1
@@ -73,7 +95,6 @@ class PipelineConfig:
     use_exact: bool = False
     exact_size_limit: int | None = None
     degree_prefilter: bool = True
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.search not in ("scan", "binary"):
@@ -478,8 +499,9 @@ def run_experiment(
 
     Writes one report JSON per run plus ``aggregate.csv`` (columns: instance,
     n, planted_k, found_size, exact_size, method, time) into the output
-    directory, atomically.  A failing run becomes an ``error`` row; the rest
-    still complete.  Returns the CSV path.
+    directory, atomically.  A failing run becomes an ``error`` row, its JSON
+    holds an ``error`` object with the exception type and message, and one
+    line goes to stderr; the rest still complete.  Returns the CSV path.
     """
     spec_path = Path(spec_path)
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
@@ -504,25 +526,32 @@ def run_experiment(
             loaded = payload["best"]
             if not verify_biclique(graph, loaded["left"], loaded["right"]):
                 raise ValueError(f"run {name}: best biclique failed re-verification")
-            (out / f"{name}.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            write_text_atomic(
+                out / f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
             )
             row["n"] = str(max(graph.n_u, graph.n_v))
             row["planted_k"] = "" if planted_k is None else str(planted_k)
             row["found_size"] = str(best.size)
             row["exact_size"] = str(report.exact["size"]) if report.exact else ""
             row["method"] = payload["best"]["method"]
-        except Exception:
+        except Exception as exc:
             row["method"] = "error"
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            print(f"mbb: run {name} failed: {error['type']}: {error['message']}", file=sys.stderr)
+            try:
+                write_text_atomic(
+                    out / f"{name}.json", json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+                )
+            except OSError:
+                pass  # the stderr line and the error row still record the failure
         if include_timings:
             row["time"] = f"{time.perf_counter() - t0:.3f}"
         rows.append(row)
 
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     csv_path = out / "aggregate.csv"
-    tmp_path = out / "aggregate.csv.tmp"
-    with open(tmp_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    os.replace(tmp_path, csv_path)
+    write_text_atomic(csv_path, buf.getvalue())
     return csv_path

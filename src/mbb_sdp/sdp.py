@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import lu_factor, lu_solve
 
 from .graphs import BipartiteGraph, Biclique
 
@@ -384,38 +384,66 @@ def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -
 
 @dataclass
 class _Compiled:
+    """Array form of a problem over the row-major vector vec(M) of length dim*dim.
+
+    ``eq_matrix`` holds every equality row, for residual checks.  The
+    equality projection uses the split instead: ``zero_mask`` marks the
+    entries (both triangles) pinned to 0 by single-term rows with rhs 0, and
+    ``coupling`` holds the remaining rows with the masked columns dropped.
+    """
+
     eq_matrix: sp.csr_matrix
     eq_rhs: np.ndarray
+    zero_mask: np.ndarray
+    coupling: sp.csr_matrix
+    coupling_rhs: np.ndarray
     ineq_rows: np.ndarray
     ineq_cols: np.ndarray
     ineq_lo: np.ndarray
 
 
-def _compile(problem: SdpProblem) -> _Compiled:
-    dim = problem.dim
+def _row_entries(con: LinearConstraint, dim: int) -> Iterable[tuple[int, float]]:
+    """(column of vec(M), coefficient) pairs; off-diagonal terms split 0.5/0.5."""
+    for r, c, coeff in con.terms:
+        if r == c:
+            yield r * dim + c, coeff
+        else:
+            yield r * dim + c, 0.5 * coeff
+            yield c * dim + r, 0.5 * coeff
+
+
+def _sparse_rows(
+    cons: list[LinearConstraint], dim: int, keep: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """One row per constraint over vec(M), optionally only the ``keep`` columns."""
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
-    rhs: list[float] = []
+    for row_id, con in enumerate(cons):
+        for col, coeff in _row_entries(con, dim):
+            if keep is None or keep[col]:
+                rows.append(row_id)
+                cols.append(col)
+                data.append(coeff)
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(cons), dim * dim))
+
+
+def _compile(problem: SdpProblem) -> _Compiled:
+    dim = problem.dim
+    eq: list[LinearConstraint] = []
+    coupling: list[LinearConstraint] = []
+    zero_mask = np.zeros(dim * dim, dtype=bool)
     ineq_r: list[int] = []
     ineq_c: list[int] = []
     ineq_lo: list[float] = []
     for con in problem.constraints:
         if con.relation == "=":
-            row_id = len(rhs)
-            for r, c, coeff in con.terms:
-                if r == c:
-                    rows.append(row_id)
-                    cols.append(r * dim + c)
-                    data.append(coeff)
-                else:
-                    rows.append(row_id)
-                    cols.append(r * dim + c)
-                    data.append(0.5 * coeff)
-                    rows.append(row_id)
-                    cols.append(c * dim + r)
-                    data.append(0.5 * coeff)
-            rhs.append(con.rhs)
+            eq.append(con)
+            if len(con.terms) == 1 and con.rhs == 0.0 and con.terms[0][2] != 0.0:
+                r, c, _ = con.terms[0]
+                zero_mask[[r * dim + c, c * dim + r]] = True
+            else:
+                coupling.append(con)
         else:
             if len(con.terms) != 1 or con.terms[0][2] <= 0:
                 raise ValueError(
@@ -426,12 +454,12 @@ def _compile(problem: SdpProblem) -> _Compiled:
             ineq_r.append(r)
             ineq_c.append(c)
             ineq_lo.append(con.rhs / coeff)
-    eq = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(rhs), dim * dim)
-    )
     return _Compiled(
-        eq_matrix=eq,
-        eq_rhs=np.asarray(rhs),
+        eq_matrix=_sparse_rows(eq, dim),
+        eq_rhs=np.asarray([con.rhs for con in eq], dtype=float),
+        zero_mask=zero_mask,
+        coupling=_sparse_rows(coupling, dim, keep=~zero_mask),
+        coupling_rhs=np.asarray([con.rhs for con in coupling], dtype=float),
         ineq_rows=np.asarray(ineq_r, dtype=int),
         ineq_cols=np.asarray(ineq_c, dtype=int),
         ineq_lo=np.asarray(ineq_lo),
@@ -442,10 +470,22 @@ class _ProjectionOps:
     """The three projections both backends share: the equality affine set,
     the allowed-entry orthant, and the PSD cone.
 
-    The equality projection solves the normal equations of A A^T with a tiny
-    ridge (the strong relaxation's rows are rank-deficient by construction)
-    plus one iterative-refinement step.  On inconsistent equality systems the
-    residual settles at the least-squares gap, which the plateau rule then
+    The equality set splits in two.  Single-term rows with rhs 0 pin an
+    entry to zero; they become a mask over vec(M) covering both (r, c) and
+    (c, r).  The rest -- anchor norm, norm links, mass and degree rows, 4n+3
+    of them on the strong relaxation -- are the coupling rows C, with the
+    masked columns dropped.  The projection zeroes the masked entries, then
+    applies x - C^T (C C^T)^-1 (C x - d) on the free ones, with C C^T factored
+    once, densely, under a tiny ridge (the strong relaxation's degree rows
+    are rank-deficient by construction) plus one iterative-refinement step.
+
+    This is the exact Frobenius projection onto the whole equality set for
+    symmetric input, and every iterate of both backends is symmetric: a zero
+    row (M[r,c] + M[c,r]) / 2 = 0 is met by zeroing both entries, which
+    moves x along directions orthogonal to the free entries C acts on, and a
+    coupling term on a masked entry reads 0 on the set anyway.  On an
+    inconsistent system the masked entries are always met and the coupling
+    residual settles at a least-squares gap, which the plateau rule then
     reports as infeasible-at-tolerance.
     """
 
@@ -454,18 +494,24 @@ class _ProjectionOps:
         self.comp = _compile(problem)
         self.have_eq = self.comp.eq_matrix.shape[0] > 0
         self.have_ineq = self.comp.ineq_rows.size > 0
-        if self.have_eq:
-            gram = (self.comp.eq_matrix @ self.comp.eq_matrix.T).tocsc()
-            ridge = 1e-12 * (gram.diagonal().mean() if gram.nnz else 1.0)
-            self._eq_gram = gram
-            self._eq_lu = splu(gram + ridge * sp.identity(gram.shape[0], format="csc"))
+        self._lu = None
+        coupling = self.comp.coupling
+        if coupling.shape[0]:
+            gram = (coupling @ coupling.T).toarray()
+            diag_mean = gram.diagonal().mean()
+            ridge = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
+            self._gram = gram
+            self._lu = lu_factor(gram + ridge * np.eye(gram.shape[0]), check_finite=False)
+            self._coupling_t = coupling.T.tocsr()
 
     def proj_eq(self, x: np.ndarray) -> np.ndarray:
-        vec = x.ravel()
-        res = self.comp.eq_matrix @ vec - self.comp.eq_rhs
-        lam = self._eq_lu.solve(res)
-        lam += self._eq_lu.solve(res - self._eq_gram @ lam)
-        return (vec - self.comp.eq_matrix.T @ lam).reshape(self.dim, self.dim)
+        vec = np.where(self.comp.zero_mask, 0.0, x.ravel())
+        if self._lu is not None:
+            res = self.comp.coupling @ vec - self.comp.coupling_rhs
+            lam = lu_solve(self._lu, res, check_finite=False)
+            lam += lu_solve(self._lu, res - self._gram @ lam, check_finite=False)
+            vec -= self._coupling_t @ lam
+        return vec.reshape(self.dim, self.dim)
 
     def proj_ineq(self, x: np.ndarray) -> np.ndarray:
         y = x.copy()

@@ -106,6 +106,33 @@ def test_solve_sdp_feasible_with_artifacts(tmp_path, capsys):
     assert export_path.read_text(encoding="utf-8").startswith("c sdp-feasibility dim=17")
 
 
+def test_file_outputs_leave_no_temp_files(tmp_path, capsys):
+    graph_path = tmp_path / "g.graph"
+    cert = tmp_path / "cert.json"
+    args = ("generate", "--n", "6", "--k", "2", "--seed", "1")
+    for _ in range(2):  # the second round replaces existing files
+        rc, _, _ = run_cli(capsys, *args, "--certificate", str(cert), "-o", str(graph_path))
+        assert rc == 0
+        rc, _, _ = run_cli(
+            capsys,
+            "solve-sdp",
+            "--input",
+            str(graph_path),
+            "--k",
+            "2",
+            "--gram-output",
+            str(tmp_path / "solution.gram"),
+            "--export",
+            str(tmp_path / "problem.txt"),
+            "-o",
+            str(tmp_path / "outcome.json"),
+        )
+        assert rc == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["cert.json", "g.graph", "outcome.json", "problem.txt", "solution.gram"]
+    assert json.loads((tmp_path / "outcome.json").read_text(encoding="utf-8"))["status"] == "feasible"
+
+
 def test_solve_sdp_infeasible_exit_code(tmp_path, capsys):
     path = tmp_path / "void.graph"
     rc, _, _ = run_cli(capsys, "generate", "--type", "empty", "--n", "4", "-o", str(path))

@@ -284,3 +284,44 @@ def test_run_experiment_timings_opt_in(tmp_path):
     assert float(rows[0]["time"]) >= 0.0
     report = json.loads((tmp_path / "out" / "timed.json").read_text(encoding="utf-8"))
     assert "timings" in report
+
+
+def test_run_experiment_records_run_errors(tmp_path, capsys):
+    runs = [
+        {"name": "broken", "generator": {"type": "file", "path": "missing.graph"}},
+        {"name": "bad-kind", "generator": {"type": "nope"}},
+    ]
+    spec = write_spec(tmp_path / "spec.json", runs)
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["error", "error"]
+    broken = json.loads((out / "broken.json").read_text(encoding="utf-8"))
+    assert broken["error"]["type"] == "FileNotFoundError"
+    assert "missing.graph" in broken["error"]["message"]
+    bad_kind = json.loads((out / "bad-kind.json").read_text(encoding="utf-8"))
+    assert bad_kind == {"error": {"type": "ValueError", "message": "unknown generator type 'nope'"}}
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 2
+    assert err_lines[0].startswith("mbb: run broken failed: FileNotFoundError: ")
+    assert err_lines[1] == "mbb: run bad-kind failed: ValueError: unknown generator type 'nope'"
+
+
+def test_run_experiment_leaves_no_temp_files(tmp_path):
+    runs = [
+        {"name": "c", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"trials": 8}}
+    ]
+    spec = write_spec(tmp_path / "spec.json", runs)
+    out = tmp_path / "out"
+    run_experiment(spec, output_dir=out)
+    run_experiment(spec, output_dir=out)  # rewrites existing files in place
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "c.json"]
+
+
+def test_write_text_atomic_keeps_old_file_on_failure(tmp_path):
+    target = tmp_path / "report.json"
+    pipeline_module.write_text_atomic(target, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        pipeline_module.write_text_atomic(target, "new \ud800\n")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -293,3 +293,67 @@ def test_solved_fixture_outcomes_pass_check(solved_planted):
         report = check_feasibility(case.problem, case.outcome.gram, eps=1e-8)
         assert report.passed
         assert case.outcome.max_violation <= 1e-8
+
+
+def _lstsq_proj_eq(ops, x):
+    """Reference: least-norm correction onto the full compiled equality system."""
+    a = ops.comp.eq_matrix.toarray()
+    vec = x.ravel()
+    step = np.linalg.lstsq(a, a @ vec - ops.comp.eq_rhs, rcond=None)[0]
+    return (vec - step).reshape(x.shape)
+
+
+def _hand_built_problem():
+    # Zero rows pin a diagonal entry (3,3), entries the mass and degree rows
+    # use ((0,3) and (1,3)), and one with a non-unit coefficient.
+    cons = (
+        LinearConstraint(((0, 0, 1.0),), "=", 1.0, "anchor"),
+        LinearConstraint(((1, 1, 1.0), (0, 1, -1.0)), "=", 0.0, "link-1"),
+        LinearConstraint(((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)), "=", 1.5, "mass"),
+        LinearConstraint(((1, 2, 1.0), (1, 3, 1.0), (0, 1, -1.0)), "=", 0.0, "degree-1"),
+        LinearConstraint(((3, 3, 1.0),), "=", 0.0, "zero-diag"),
+        LinearConstraint(((3, 0, 1.0),), "=", 0.0, "zero-mass-entry"),
+        LinearConstraint(((1, 3, 1.0),), "=", 0.0, "zero-degree-entry"),
+        LinearConstraint(((2, 3, 2.0),), "=", 0.0, "zero-scaled"),
+        LinearConstraint(((1, 2, 1.0),), ">=", 0.0, "nonneg"),
+    )
+    return SdpProblem(4, cons, label="hand-built")
+
+
+def test_proj_eq_matches_least_norm_projection():
+    from mbb_sdp.sdp import _ProjectionOps
+
+    planted, _ = planted_instance(6, 3, 0.3, seed=2)
+    problems = [_hand_built_problem()]
+    for graph, k in ((complete_bipartite(2, 3), 2), (planted, 3), (planted, 2)):
+        problems += [build_weak_relaxation(graph, k), build_strong_relaxation(graph, k)]
+    rng = np.random.default_rng(11)
+    for problem in problems:
+        ops = _ProjectionOps(problem)
+        for _ in range(3):
+            x = rng.standard_normal((problem.dim, problem.dim))
+            x = x + x.T
+            y = ops.proj_eq(x)
+            assert np.abs(y - _lstsq_proj_eq(ops, x)).max() <= 1e-10, problem.label
+            assert np.abs(ops.comp.eq_matrix @ y.ravel() - ops.comp.eq_rhs).max() <= 1e-9
+            assert np.abs(ops.proj_eq(y) - y).max() <= 1e-12
+
+
+def test_proj_eq_factors_only_the_coupling_rows():
+    from mbb_sdp.sdp import _ProjectionOps
+
+    graph, _ = planted_instance(10, 3, 0.2, seed=4)
+    ops = _ProjectionOps(build_strong_relaxation(graph, 3))
+    # anchor norm, 2n norm links, two mass rows, 2n degree rows
+    assert ops.comp.coupling.shape[0] == 4 * 10 + 3
+    assert ops.comp.eq_matrix.shape[0] == 4 * 10 + 3 + graph.num_non_edges
+    mask = ops.comp.zero_mask.reshape(ops.dim, ops.dim)
+    assert np.array_equal(mask, mask.T)
+    assert mask.sum() == 2 * graph.num_non_edges
+    assert ops.comp.coupling[:, ops.comp.zero_mask].nnz == 0
+
+    hand = _ProjectionOps(_hand_built_problem())
+    assert hand.comp.coupling.shape[0] == 4
+    assert sorted(map(tuple, np.argwhere(hand.comp.zero_mask.reshape(4, 4)))) == [
+        (0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)
+    ]
