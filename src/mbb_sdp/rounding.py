@@ -161,14 +161,44 @@ def heavy_sets(
     return left, right
 
 
-def _member_matrix(
-    solution: VectorSolution, left_members: np.ndarray, right_members: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _shifted_members(
+    solution: VectorSolution, left_members: np.ndarray, right_members: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Member vectors u (left, then right), their masses c, the shifted
+    vectors u - alpha c e and the squared norms of those."""
     n_u = solution.sides[0]
     rows = np.concatenate([left_members, n_u + right_members]).astype(int)
     vectors = solution.vectors[rows]
     masses = vectors @ solution.anchor
-    return vectors, masses
+    shifted = vectors - alpha * np.outer(masses, solution.anchor)
+    return vectors, masses, shifted, np.einsum("ij,ij->i", shifted, shifted)
+
+
+def _unit_shifted(
+    vectors: np.ndarray,
+    masses: np.ndarray,
+    shifted: np.ndarray,
+    norms_sq: np.ndarray,
+    identity_tol: float,
+) -> np.ndarray:
+    """Check the shift identities of _shifted_members' output, then normalize."""
+    if norms_sq.size and norms_sq.min() < _DEGENERATE_NORM**2:
+        worst = int(norms_sq.argmin())
+        raise ValueError(f"member {worst} has a degenerate shifted norm {math.sqrt(max(norms_sq[worst], 0.0))}")
+    products = shifted @ shifted.T
+    expected = vectors @ vectors.T - 0.5 * np.outer(masses, masses)
+    err = float(np.abs(products - expected).max()) if products.size else 0.0
+    if err > identity_tol:
+        raise ArithmeticError(f"shift product identity off by {err} (tolerance {identity_tol})")
+    norm_err = (
+        float(np.abs(norms_sq - masses * (1.0 - 0.5 * masses)).max()) if norms_sq.size else 0.0
+    )
+    if norm_err > identity_tol:
+        raise ArithmeticError(
+            f"shift norm identity off by {norm_err} (tolerance {identity_tol}); "
+            "the input's norm-link constraints may be violated beyond the tolerance"
+        )
+    return shifted / np.sqrt(norms_sq)[:, None]
 
 
 def shift_vectors(
@@ -189,26 +219,7 @@ def shift_vectors(
         raise ValueError("solution carries no (n_u, n_v) split; use with_sides first")
     left_members = np.asarray(list(left_members), dtype=int)
     right_members = np.asarray(list(right_members), dtype=int)
-    vectors, masses = _member_matrix(solution, left_members, right_members)
-    shifted = vectors - alpha * np.outer(masses, solution.anchor)
-    norms_sq = np.einsum("ij,ij->i", shifted, shifted)
-    if norms_sq.size and norms_sq.min() < _DEGENERATE_NORM**2:
-        worst = int(norms_sq.argmin())
-        raise ValueError(f"member {worst} has a degenerate shifted norm {math.sqrt(max(norms_sq[worst], 0.0))}")
-    products = shifted @ shifted.T
-    expected = vectors @ vectors.T - 0.5 * np.outer(masses, masses)
-    err = float(np.abs(products - expected).max()) if products.size else 0.0
-    if err > identity_tol:
-        raise ArithmeticError(f"shift product identity off by {err} (tolerance {identity_tol})")
-    norm_err = (
-        float(np.abs(norms_sq - masses * (1.0 - 0.5 * masses)).max()) if norms_sq.size else 0.0
-    )
-    if norm_err > identity_tol:
-        raise ArithmeticError(
-            f"shift norm identity off by {norm_err} (tolerance {identity_tol}); "
-            "the input's norm-link constraints may be violated beyond the tolerance"
-        )
-    return shifted / np.sqrt(norms_sq)[:, None]
+    return _unit_shifted(*_shifted_members(solution, left_members, right_members, alpha), identity_tol)
 
 
 def gaussian_threshold(
@@ -240,9 +251,7 @@ class _Prepared:
 
 def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     left, right = heavy_sets(solution, params.ratio, params.heavy_threshold)
-    vectors, masses = _member_matrix(solution, left, right)
-    shifted = vectors - params.alpha * np.outer(masses, solution.anchor)
-    norms_sq = np.einsum("ij,ij->i", shifted, shifted)
+    vectors, masses, shifted, norms_sq = _shifted_members(solution, left, right, params.alpha)
     keep = norms_sq >= _DEGENERATE_NORM**2
     n_left = left.size
     dropped = tuple(
@@ -254,7 +263,7 @@ def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     if left.size or right.size:
         slack = float(np.abs(np.einsum("ij,ij->i", vectors, vectors) - masses).max())
         tol = max(1e-9, 4.0 * slack + 1e-12)
-        unit = shift_vectors(solution, left, right, params.alpha, identity_tol=tol)
+        unit = _unit_shifted(vectors[keep], masses[keep], shifted[keep], norms_sq[keep], tol)
     else:
         unit = np.zeros((0, solution.dim))
     r_target = max(1, math.floor(analysis_size_target(params.ratio, params.tau)))

@@ -12,7 +12,7 @@ classic half-half integrality gap certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .graphs import BipartiteGraph, Biclique
 
 __all__ = [
-    "LinearConstraint",
+    "ConstraintBlock",
     "SdpProblem",
     "GramMatrix",
     "VectorSolution",
@@ -35,8 +35,6 @@ __all__ = [
     "indicator_gram",
     "check_feasibility",
     "solve_feasibility",
-    "register_backend",
-    "solver_backends",
     "gram_to_vectors",
     "export_problem",
     "gram_to_text",
@@ -52,48 +50,62 @@ INFEASIBLE = "infeasible-at-tolerance"
 SOLVER_LIMIT = "solver-limit"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One linear constraint on a symmetric matrix.
+@dataclass(frozen=True, eq=False)
+class ConstraintBlock:
+    """One constraint family on a symmetric matrix, one row per constraint.
 
-    ``terms`` are (row, col, coeff) triples with row <= col; each contributes
-    coeff * M[row, col] to the left-hand side, counting the symmetric entry
-    once.  ``relation`` is "=" or ">=".
+    Row i reads sum_t coeff[i, t] * M[rows[i, t], cols[i, t]] (relation)
+    rhs[i]; each term counts the symmetric entry once, and pairs with
+    row > col are swapped on construction.  ``relation`` is "=" or ">=" for
+    the whole block, and ``names`` holds one name per row.  The arrays are
+    read-only.
     """
 
-    terms: tuple[tuple[int, int, float], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    coeff: np.ndarray
+    rhs: np.ndarray
     relation: str
-    rhs: float
-    name: str = ""
+    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.relation not in ("=", ">="):
             raise ValueError(f"relation must be '=' or '>=', got {self.relation!r}")
-        canon = tuple(
-            (int(c), int(r), float(x)) if r > c else (int(r), int(c), float(x))
-            for r, c, x in self.terms
-        )
-        object.__setattr__(self, "terms", canon)
+        rows = np.array(self.rows, dtype=int, ndmin=2)
+        cols = np.array(self.cols, dtype=int, ndmin=2)
+        coeff = np.array(self.coeff, dtype=float, ndmin=2)
+        rhs = np.array(self.rhs, dtype=float, ndmin=1)
+        names = tuple(str(name) for name in self.names)
+        if not rows.shape == cols.shape == coeff.shape or rows.ndim != 2:
+            raise ValueError("rows, cols and coeff must share one (constraints, terms) shape")
+        if not rhs.shape == (len(names),) == rows.shape[:1]:
+            raise ValueError("rhs and names need one entry per constraint row")
+        rows, cols = np.minimum(rows, cols), np.maximum(rows, cols)
+        for name, arr in (("rows", rows), ("cols", cols), ("coeff", coeff), ("rhs", rhs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "names", names)
 
-    def evaluate(self, m: np.ndarray) -> float:
-        return float(sum(coeff * m[r, c] for r, c, coeff in self.terms)) - self.rhs
+    def __len__(self) -> int:
+        return len(self.names)
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """A feasibility problem: symmetric dim x dim PSD matrix meeting all constraints."""
+    """A feasibility problem: symmetric dim x dim PSD matrix meeting every block's rows."""
 
     dim: int
-    constraints: tuple[LinearConstraint, ...]
+    blocks: tuple[ConstraintBlock, ...]
     label: str = ""
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be positive")
-        for con in self.constraints:
-            for r, c, _ in con.terms:
-                if not (0 <= r <= c < self.dim):
-                    raise ValueError(f"constraint {con.name!r} indexes outside dim {self.dim}")
+        for block in self.blocks:
+            outside = (block.rows < 0).any(axis=1) | (block.cols >= self.dim).any(axis=1)
+            if outside.any():
+                name = block.names[int(outside.argmax())]
+                raise ValueError(f"constraint {name!r} indexes outside dim {self.dim}")
 
 
 class GramMatrix:
@@ -217,69 +229,65 @@ def _v_index(j: int, n_u: int) -> int:
     return 1 + n_u + j
 
 
-def _base_constraints(graph: BipartiteGraph, k: float) -> list[LinearConstraint]:
+def _relaxation_blocks(graph: BipartiteGraph, k: float, strong: bool) -> tuple[ConstraintBlock, ...]:
+    """The relaxation's constraint families, each built at once from the adjacency.
+
+    Weak: anchor norm, norm links (left, then right), the two mass rows,
+    non-edge zeros and cross nonnegativity.  Strong adds the fractional
+    degree rows of each side.  Row order and each row's term order are those
+    of the exported text.
+    """
+    if k <= 0:
+        raise ValueError(f"target size k must be positive, got {k}")
+    k = float(k)
     n_u, n_v = graph.n_u, graph.n_v
-    cons: list[LinearConstraint] = []
-    cons.append(LinearConstraint(((0, 0, 1.0),), "=", 1.0, "anchor-norm"))
-    for i in range(n_u):
-        g = _u_index(i)
-        cons.append(LinearConstraint(((g, g, 1.0), (0, g, -1.0)), "=", 0.0, f"norm-link-u{i}"))
-    for j in range(n_v):
-        g = _v_index(j, n_u)
-        cons.append(LinearConstraint(((g, g, 1.0), (0, g, -1.0)), "=", 0.0, f"norm-link-v{j}"))
-    cons.append(
-        LinearConstraint(
-            tuple((0, _u_index(i), 1.0) for i in range(n_u)), "=", float(k), "mass-left"
-        )
-    )
-    cons.append(
-        LinearConstraint(
-            tuple((0, _v_index(j, n_u), 1.0) for j in range(n_v)), "=", float(k), "mass-right"
-        )
-    )
-    adj = graph.dense()
-    for i in range(n_u):
-        gi = _u_index(i)
-        for j in range(n_v):
-            if not adj[i, j]:
-                cons.append(
-                    LinearConstraint(
-                        ((gi, _v_index(j, n_u), 1.0),), "=", 0.0, f"non-edge-{i}-{j}"
-                    )
-                )
-    for i in range(n_u):
-        gi = _u_index(i)
-        for j in range(n_v):
-            cons.append(
-                LinearConstraint(((gi, _v_index(j, n_u), 1.0),), ">=", 0.0, f"nonneg-{i}-{j}")
-            )
-    return cons
+    left = _u_index(np.arange(n_u))
+    right = _v_index(np.arange(n_v), n_u)
+    verts = np.concatenate([left, right])
+    cross_u, cross_v = np.meshgrid(left, right, indexing="ij")
+
+    def cross_entries(mask: np.ndarray, relation: str, prefix: str) -> ConstraintBlock:
+        count = int(mask.sum())
+        names = [f"{prefix}-{i}-{j}" for i, j in zip(*(idx.tolist() for idx in np.nonzero(mask)))]
+        rows, cols = cross_u[mask][:, None], cross_v[mask][:, None]
+        return ConstraintBlock(rows, cols, np.ones((count, 1)), np.zeros(count), relation, names)
+
+    blocks = [
+        ConstraintBlock([[0]], [[0]], [[1.0]], [1.0], "=", ("anchor-norm",)),
+        ConstraintBlock(
+            np.stack([verts, np.zeros_like(verts)], axis=1),
+            np.stack([verts, verts], axis=1),
+            np.tile([1.0, -1.0], (verts.size, 1)),
+            np.zeros(verts.size),
+            "=",
+            [f"norm-link-u{i}" for i in range(n_u)] + [f"norm-link-v{j}" for j in range(n_v)],
+        ),
+        ConstraintBlock(np.zeros((1, n_u)), left[None], np.ones((1, n_u)), [k], "=", ("mass-left",)),
+        ConstraintBlock(np.zeros((1, n_v)), right[None], np.ones((1, n_v)), [k], "=", ("mass-right",)),
+        cross_entries(~graph.dense().astype(bool), "=", "non-edge"),
+        cross_entries(np.ones((n_u, n_v), dtype=bool), ">=", "nonneg"),
+    ]
+    if strong:
+        # Row i: sum_j M[u_i, v_j] - k M[0, u_i] = 0, and the same per right vertex.
+        for own, cross, side in ((left, cross_v, "u"), (right, cross_u.T, "v")):
+            own = own[:, None]
+            rows = np.hstack([np.broadcast_to(own, cross.shape), np.zeros_like(own)])
+            coeff = np.hstack([np.ones(cross.shape), np.full(own.shape, -k)])
+            names = [f"frac-degree-{side}{i}" for i in range(own.size)]
+            blocks.append(ConstraintBlock(rows, np.hstack([cross, own]), coeff, np.zeros(own.size), "=", names))
+    return tuple(blocks)
 
 
 def build_weak_relaxation(graph: BipartiteGraph, k: float) -> SdpProblem:
     """Relaxation without degree rows; admits the half-half gap certificate."""
-    if k <= 0:
-        raise ValueError(f"target size k must be positive, got {k}")
-    dim = 1 + graph.n_u + graph.n_v
-    return SdpProblem(dim, tuple(_base_constraints(graph, k)), label=f"weak(k={k:g})")
+    blocks = _relaxation_blocks(graph, k, strong=False)
+    return SdpProblem(1 + graph.n_u + graph.n_v, blocks, label=f"weak(k={k:g})")
 
 
 def build_strong_relaxation(graph: BipartiteGraph, k: float) -> SdpProblem:
     """Weak relaxation plus fractional degree rows on both sides."""
-    if k <= 0:
-        raise ValueError(f"target size k must be positive, got {k}")
-    n_u, n_v = graph.n_u, graph.n_v
-    cons = _base_constraints(graph, k)
-    for i in range(n_u):
-        gi = _u_index(i)
-        terms = tuple((gi, _v_index(j, n_u), 1.0) for j in range(n_v)) + ((0, gi, -float(k)),)
-        cons.append(LinearConstraint(terms, "=", 0.0, f"frac-degree-u{i}"))
-    for j in range(n_v):
-        gj = _v_index(j, n_u)
-        terms = tuple((_u_index(i), gj, 1.0) for i in range(n_u)) + ((0, gj, -float(k)),)
-        cons.append(LinearConstraint(terms, "=", 0.0, f"frac-degree-v{j}"))
-    dim = 1 + n_u + n_v
-    return SdpProblem(dim, tuple(cons), label=f"strong(k={k:g})")
+    blocks = _relaxation_blocks(graph, k, strong=True)
+    return SdpProblem(1 + graph.n_u + graph.n_v, blocks, label=f"strong(k={k:g})")
 
 
 def weak_gap_solution(n: int) -> GramMatrix:
@@ -320,6 +328,33 @@ def indicator_gram(n_u: int, n_v: int, left: Iterable[int], right: Iterable[int]
     return GramMatrix(m)
 
 
+class _Evaluator:
+    """Signed residual and violation of every row of a problem, in block order.
+
+    The blocks' terms are flattened once into indices over vec(M), the
+    row-major vector of length dim*dim.  A row's left-hand side sums its
+    terms in term order.  An equality row is violated by |residual|, a
+    ``>=`` row by its shortfall.
+    """
+
+    def __init__(self, problem: SdpProblem):
+        def joined(parts, dtype) -> np.ndarray:
+            return np.concatenate([np.empty(0, dtype=dtype), *parts])
+
+        blocks = problem.blocks
+        self.flat = joined([(b.rows * problem.dim + b.cols).ravel() for b in blocks], int)
+        self.coeff = joined([b.coeff.ravel() for b in blocks], float)
+        self.rhs = joined([b.rhs for b in blocks], float)
+        self.equality = joined([np.full(len(b), b.relation == "=") for b in blocks], bool)
+        widths = joined([np.full(len(b), b.coeff.shape[1]) for b in blocks], int)
+        self.row_of_term = np.repeat(np.arange(widths.size), widths)
+
+    def __call__(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        terms = self.coeff * m.ravel()[self.flat]
+        residuals = np.bincount(self.row_of_term, weights=terms, minlength=self.rhs.size) - self.rhs
+        return residuals, np.where(self.equality, np.abs(residuals), np.maximum(0.0, -residuals))
+
+
 def check_feasibility(
     problem: SdpProblem, gram: GramMatrix, eps: float = EPS_FEAS_DEFAULT
 ) -> ViolationReport:
@@ -327,16 +362,17 @@ def check_feasibility(
     m = gram.entries
     if m.shape[0] != problem.dim:
         raise ValueError(f"matrix dim {m.shape[0]} does not match problem dim {problem.dim}")
-    residuals = np.empty(len(problem.constraints))
-    violations = np.empty(len(problem.constraints))
-    for idx, con in enumerate(problem.constraints):
-        res = con.evaluate(m)
-        residuals[idx] = res
-        violations[idx] = abs(res) if con.relation == "=" else max(0.0, -res)
-    max_violation = float(violations.max()) if len(violations) else 0.0
+    residuals, violations = _Evaluator(problem)(m)
+    max_violation = 0.0
     worst = ""
-    if len(violations):
-        worst = problem.constraints[int(violations.argmax())].name
+    if violations.size:
+        index = int(violations.argmax())
+        max_violation = float(violations[index])
+        for block in problem.blocks:
+            if index < len(block):
+                worst = block.names[index]
+                break
+            index -= len(block)
     min_eig = float(np.linalg.eigvalsh(m)[0])
     return ViolationReport(
         residuals=residuals,
@@ -352,118 +388,26 @@ def check_feasibility(
 # Solver backends
 
 
-_BACKENDS: dict[str, Callable[[SdpProblem, SolverConfig], FeasibilityOutcome]] = {}
-
-
-def register_backend(name: str, solver: Callable[[SdpProblem, SolverConfig], FeasibilityOutcome]) -> None:
-    """Adapter slot: plug in an external conic solver under a config-selectable name."""
-    _BACKENDS[str(name)] = solver
-
-
-def solver_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -> FeasibilityOutcome:
-    """Find a PSD matrix satisfying the problem, or report why not.
-
-    Statuses: ``feasible`` with a Gram certificate whose worst violation is at
-    most config.eps_feas; ``infeasible-at-tolerance`` when the violation
-    plateaus above 10x that tolerance; ``solver-limit`` when the iteration
-    budget runs out or numerics fail.
-    """
-    config = config or SolverConfig()
-    try:
-        backend = _BACKENDS[config.backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {config.backend!r}; registered: {solver_backends()}"
-        ) from None
-    return backend(problem, config)
-
-
-@dataclass
-class _Compiled:
-    """Array form of a problem over the row-major vector vec(M) of length dim*dim.
-
-    ``eq_matrix`` holds every equality row, for residual checks.  The
-    equality projection uses the split instead: ``zero_mask`` marks the
-    entries (both triangles) pinned to 0 by single-term rows with rhs 0, and
-    ``coupling`` holds the remaining rows with the masked columns dropped.
-    """
-
-    eq_matrix: sp.csr_matrix
-    eq_rhs: np.ndarray
-    zero_mask: np.ndarray
-    coupling: sp.csr_matrix
-    coupling_rhs: np.ndarray
-    ineq_rows: np.ndarray
-    ineq_cols: np.ndarray
-    ineq_lo: np.ndarray
-
-
-def _row_entries(con: LinearConstraint, dim: int) -> Iterable[tuple[int, float]]:
-    """(column of vec(M), coefficient) pairs; off-diagonal terms split 0.5/0.5."""
-    for r, c, coeff in con.terms:
-        if r == c:
-            yield r * dim + c, coeff
-        else:
-            yield r * dim + c, 0.5 * coeff
-            yield c * dim + r, 0.5 * coeff
-
-
-def _sparse_rows(
-    cons: list[LinearConstraint], dim: int, keep: np.ndarray | None = None
+def _coupling_matrix(
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int, keep: np.ndarray
 ) -> sp.csr_matrix:
-    """One row per constraint over vec(M), optionally only the ``keep`` columns."""
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for row_id, con in enumerate(cons):
-        for col, coeff in _row_entries(con, dim):
-            if keep is None or keep[col]:
-                rows.append(row_id)
-                cols.append(col)
-                data.append(coeff)
-    return sp.csr_matrix((data, (rows, cols)), shape=(len(cons), dim * dim))
-
-
-def _compile(problem: SdpProblem) -> _Compiled:
-    dim = problem.dim
-    eq: list[LinearConstraint] = []
-    coupling: list[LinearConstraint] = []
-    zero_mask = np.zeros(dim * dim, dtype=bool)
-    ineq_r: list[int] = []
-    ineq_c: list[int] = []
-    ineq_lo: list[float] = []
-    for con in problem.constraints:
-        if con.relation == "=":
-            eq.append(con)
-            if len(con.terms) == 1 and con.rhs == 0.0 and con.terms[0][2] != 0.0:
-                r, c, _ = con.terms[0]
-                zero_mask[[r * dim + c, c * dim + r]] = True
-            else:
-                coupling.append(con)
-        else:
-            if len(con.terms) != 1 or con.terms[0][2] <= 0:
-                raise ValueError(
-                    f"reference backend only supports single-entry lower bounds, "
-                    f"constraint {con.name!r} is not one"
-                )
-            r, c, coeff = con.terms[0]
-            ineq_r.append(r)
-            ineq_c.append(c)
-            ineq_lo.append(con.rhs / coeff)
-    return _Compiled(
-        eq_matrix=_sparse_rows(eq, dim),
-        eq_rhs=np.asarray([con.rhs for con in eq], dtype=float),
-        zero_mask=zero_mask,
-        coupling=_sparse_rows(coupling, dim, keep=~zero_mask),
-        coupling_rhs=np.asarray([con.rhs for con in coupling], dtype=float),
-        ineq_rows=np.asarray(ineq_r, dtype=int),
-        ineq_cols=np.asarray(ineq_c, dtype=int),
-        ineq_lo=np.asarray(ineq_lo),
-    )
+    """One row per (rows, cols, coeff) row of ``parts`` over the ``keep``
+    columns of vec(M), the row-major vector of length dim*dim; off-diagonal
+    terms split 0.5/0.5 between (r, c) and (c, r)."""
+    row_ids, col_ids, data = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+    offset = 0
+    for rows, cols, coeff in parts:
+        diag = rows == cols
+        both = np.stack([rows * dim + cols, cols * dim + rows], axis=2)
+        use = np.stack([np.ones_like(diag), ~diag], axis=2) & keep[both]
+        half = np.where(diag, coeff, 0.5 * coeff)
+        ids = offset + np.arange(len(rows))[:, None, None]
+        row_ids.append(np.broadcast_to(ids, both.shape)[use])
+        col_ids.append(both[use])
+        data.append(np.stack([half, half], axis=2)[use])
+        offset += len(rows)
+    entries = (np.concatenate(data), (np.concatenate(row_ids), np.concatenate(col_ids)))
+    return sp.csr_matrix(entries, shape=(offset, dim * dim))
 
 
 class _ProjectionOps:
@@ -490,24 +434,49 @@ class _ProjectionOps:
     """
 
     def __init__(self, problem: SdpProblem):
-        self.dim = problem.dim
-        self.comp = _compile(problem)
-        self.have_eq = self.comp.eq_matrix.shape[0] > 0
-        self.have_ineq = self.comp.ineq_rows.size > 0
+        dim = self.dim = problem.dim
+        self.evaluate = _Evaluator(problem)
+        self.zero_mask = np.zeros(dim * dim, dtype=bool)
+        coupling = []
+        coupling_rhs = [np.empty(0)]
+        ineq = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
+        for block in problem.blocks:
+            single = block.coeff.shape[1] == 1
+            if block.relation == "=":
+                zero = np.zeros(len(block), dtype=bool)
+                if single:
+                    zero = (block.rhs == 0.0) & (block.coeff[:, 0] != 0.0)
+                    r, c = block.rows[zero, 0], block.cols[zero, 0]
+                    self.zero_mask[r * dim + c] = True
+                    self.zero_mask[c * dim + r] = True
+                coupling.append((block.rows[~zero], block.cols[~zero], block.coeff[~zero]))
+                coupling_rhs.append(block.rhs[~zero])
+            else:
+                bad = block.coeff[:, 0] <= 0 if single else np.ones(len(block), dtype=bool)
+                if bad.any():
+                    raise ValueError(
+                        f"reference backend only supports single-entry lower bounds, "
+                        f"constraint {block.names[int(bad.argmax())]!r} is not one"
+                    )
+                ineq.append((block.rows[:, 0], block.cols[:, 0], block.rhs / block.coeff[:, 0]))
+        self.coupling = _coupling_matrix(coupling, dim, keep=~self.zero_mask)
+        self.coupling_rhs = np.concatenate(coupling_rhs)
+        self.ineq_rows, self.ineq_cols, self.ineq_lo = (np.concatenate(part) for part in zip(*ineq))
+        self.have_eq = bool(self.evaluate.equality.any())
+        self.have_ineq = self.ineq_rows.size > 0
         self._lu = None
-        coupling = self.comp.coupling
-        if coupling.shape[0]:
-            gram = (coupling @ coupling.T).toarray()
+        if self.coupling.shape[0]:
+            gram = (self.coupling @ self.coupling.T).toarray()
             diag_mean = gram.diagonal().mean()
             ridge = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
             self._gram = gram
             self._lu = lu_factor(gram + ridge * np.eye(gram.shape[0]), check_finite=False)
-            self._coupling_t = coupling.T.tocsr()
+            self._coupling_t = self.coupling.T.tocsr()
 
     def proj_eq(self, x: np.ndarray) -> np.ndarray:
-        vec = np.where(self.comp.zero_mask, 0.0, x.ravel())
+        vec = np.where(self.zero_mask, 0.0, x.ravel())
         if self._lu is not None:
-            res = self.comp.coupling @ vec - self.comp.coupling_rhs
+            res = self.coupling @ vec - self.coupling_rhs
             lam = lu_solve(self._lu, res, check_finite=False)
             lam += lu_solve(self._lu, res - self._gram @ lam, check_finite=False)
             vec -= self._coupling_t @ lam
@@ -515,9 +484,9 @@ class _ProjectionOps:
 
     def proj_ineq(self, x: np.ndarray) -> np.ndarray:
         y = x.copy()
-        vals = np.maximum(y[self.comp.ineq_rows, self.comp.ineq_cols], self.comp.ineq_lo)
-        y[self.comp.ineq_rows, self.comp.ineq_cols] = vals
-        y[self.comp.ineq_cols, self.comp.ineq_rows] = vals
+        vals = np.maximum(y[self.ineq_rows, self.ineq_cols], self.ineq_lo)
+        y[self.ineq_rows, self.ineq_cols] = vals
+        y[self.ineq_cols, self.ineq_rows] = vals
         return y
 
     @staticmethod
@@ -531,14 +500,9 @@ class _ProjectionOps:
         return 0.5 * (out + out.T)
 
     def violation(self, x: np.ndarray) -> float:
-        """Worst equality residual or inequality gap; assumes x is PSD."""
-        worst = 0.0
-        if self.have_eq:
-            worst = float(np.abs(self.comp.eq_matrix @ x.ravel() - self.comp.eq_rhs).max())
-        if self.have_ineq:
-            gap = self.comp.ineq_lo - x[self.comp.ineq_rows, self.comp.ineq_cols]
-            worst = max(worst, float(max(0.0, gap.max())))
-        return worst
+        """Worst row violation as check_feasibility scores it; assumes x is PSD."""
+        violations = self.evaluate(x)[1]
+        return float(violations.max()) if violations.size else 0.0
 
     def start_point(self, config: SolverConfig) -> np.ndarray:
         if config.warm_start is not None:
@@ -646,8 +610,29 @@ def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityO
         return FeasibilityOutcome(SOLVER_LIMIT, None, math.inf, iterations)
 
 
-register_backend("dykstra", _solve_dykstra)
-register_backend("product-dr", _solve_product_dr)
+_BACKENDS: dict[str, Callable[[SdpProblem, SolverConfig], FeasibilityOutcome]] = {
+    "dykstra": _solve_dykstra,
+    "product-dr": _solve_product_dr,
+}
+
+
+def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -> FeasibilityOutcome:
+    """Find a PSD matrix satisfying the problem, or report why not.
+
+    ``config.backend`` picks "product-dr" (the default) or "dykstra" (the
+    reference).  Statuses: ``feasible`` with a Gram certificate whose worst
+    violation is at most config.eps_feas; ``infeasible-at-tolerance`` when
+    the violation plateaus above 10x that tolerance; ``solver-limit`` when the
+    iteration budget runs out or numerics fail.
+    """
+    config = config or SolverConfig()
+    try:
+        backend = _BACKENDS[config.backend]
+    except KeyError:
+        raise ValueError(
+            f"unknown solver backend {config.backend!r}; choose one of {tuple(sorted(_BACKENDS))}"
+        ) from None
+    return backend(problem, config)
 
 
 def gram_to_vectors(
@@ -701,9 +686,13 @@ def export_problem(problem: SdpProblem) -> str:
     triples.  A leading comment records the label and dimension.
     """
     lines = [f"c sdp-feasibility dim={problem.dim} label={problem.label}"]
-    for con in problem.constraints:
-        triples = " ".join(f"{r}:{c}:{coeff:.17g}" for r, c, coeff in con.terms)
-        lines.append(f"{con.relation} {con.rhs:.17g} {triples}")
+    for block in problem.blocks:
+        flat = zip(*(a.ravel().tolist() for a in (block.rows, block.cols, block.coeff)))
+        triples = [f"{r}:{c}:{x:.17g}" for r, c, x in flat]
+        width = block.rows.shape[1]
+        for i, rhs in enumerate(block.rhs.tolist()):
+            terms = " ".join(triples[i * width : (i + 1) * width])
+            lines.append(f"{block.relation} {rhs:.17g} {terms}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from mbb_sdp import (
     FEASIBLE,
     INFEASIBLE,
     SOLVER_LIMIT,
+    ConstraintBlock,
     GramMatrix,
-    LinearConstraint,
     SdpProblem,
     SolverConfig,
     build_strong_relaxation,
@@ -23,9 +24,7 @@ from mbb_sdp import (
     indicator_gram,
     new_bipartite,
     planted_instance,
-    register_backend,
     solve_feasibility,
-    solver_backends,
     weak_gap_solution,
 )
 
@@ -45,8 +44,9 @@ def test_constraint_counts():
     ):
         weak = build_weak_relaxation(g, 2)
         strong = build_strong_relaxation(g, 2)
-        assert len(weak.constraints) == expected_counts(g, strong=False)
-        assert len(strong.constraints) == expected_counts(g, strong=True)
+        assert sum(len(block) for block in weak.blocks) == expected_counts(g, strong=False)
+        assert sum(len(block) for block in strong.blocks) == expected_counts(g, strong=True)
+        assert (len(weak.blocks), len(strong.blocks)) == (6, 8)
         assert weak.dim == strong.dim == 1 + g.n_u + g.n_v
 
 
@@ -114,25 +114,31 @@ def test_check_feasibility_rejects_dimension_mismatch():
         check_feasibility(problem, GramMatrix(np.eye(4)), eps=1e-6)
 
 
-def test_linear_constraint_canonicalizes_and_evaluates():
-    con = LinearConstraint(terms=((3, 1, 2.0), (1, 1, 1.0)), relation="=", rhs=4.0, name="x")
-    assert con.terms == ((1, 3, 2.0), (1, 1, 1.0))
+def test_constraint_block_canonicalizes_and_evaluates():
+    block = ConstraintBlock(
+        rows=[[3, 1]], cols=[[1, 1]], coeff=[[2.0, 1.0]], rhs=[4.0], relation="=", names=["x"]
+    )
+    assert block.rows.tolist() == [[1, 1]] and block.cols.tolist() == [[3, 1]]
+    assert block.coeff.tolist() == [[2.0, 1.0]]
+    problem = SdpProblem(4, (block,))
     m = np.zeros((4, 4))
     m[1, 3] = m[3, 1] = 1.5
     m[1, 1] = 1.0
-    # evaluate returns the signed residual: lhs 2*1.5 + 1*1.0 = 4.0 minus rhs
-    assert con.evaluate(m) == 0.0
+    # residuals are signed: lhs 2*1.5 + 1*1.0 = 4.0 minus rhs
+    assert check_feasibility(problem, GramMatrix(m)).residuals[0] == 0.0
     m[1, 1] = 2.0
-    assert con.evaluate(m) == 1.0
-    with pytest.raises(ValueError):
-        LinearConstraint(terms=((0, 0, 1.0),), relation="<=", rhs=0.0, name="bad")
+    assert check_feasibility(problem, GramMatrix(m)).residuals[0] == 1.0
+    with pytest.raises(ValueError, match="relation must be"):
+        ConstraintBlock([[0]], [[0]], [[1.0]], [0.0], "<=", ["bad"])
 
 
 def test_problem_validates_indices():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="constraint 'oob' indexes outside dim 3"):
         SdpProblem(
             dim=3,
-            constraints=(LinearConstraint(terms=((0, 3, 1.0),), relation="=", rhs=0.0, name="oob"),),
+            blocks=(
+                ConstraintBlock([[0], [0]], [[2], [3]], [[1.0], [1.0]], [0.0, 0.0], "=", ["ok", "oob"]),
+            ),
             label="bad",
         )
 
@@ -148,7 +154,6 @@ def test_gram_matrix_is_symmetrized_and_read_only():
 def test_solver_integration_both_backends():
     g, _ = planted_instance(12, 4, 0.3, seed=7)
     problem = build_strong_relaxation(g, 4)
-    assert set(solver_backends()) >= {"dykstra", "product-dr"}
     for backend in ("product-dr", "dykstra"):
         out = solve_feasibility(problem, SolverConfig(backend=backend, max_iterations=40000))
         assert out.status == FEASIBLE
@@ -188,28 +193,8 @@ def test_warm_start_resolves_quickly():
 
 def test_unknown_backend_raises():
     problem = build_weak_relaxation(complete_bipartite(2, 2), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'dykstra', 'product-dr'"):
         solve_feasibility(problem, SolverConfig(backend="nope"))
-
-
-def test_backend_registry_accepts_new_entries():
-    calls = []
-
-    def stub(problem, config):
-        calls.append(problem.label)
-        return solve_feasibility(problem, SolverConfig())
-
-    from mbb_sdp import sdp as sdp_module
-
-    register_backend("stub-test", stub)
-    try:
-        assert "stub-test" in solver_backends()
-        problem = build_strong_relaxation(complete_bipartite(2, 2), 2)
-        out = solve_feasibility(problem, SolverConfig(backend="stub-test"))
-        assert out.status == FEASIBLE
-        assert calls == ["strong(k=2)"]
-    finally:
-        sdp_module._BACKENDS.pop("stub-test", None)
 
 
 def test_gram_to_vectors_reconstructs():
@@ -270,7 +255,7 @@ def test_export_problem_format():
     lines = text.strip().splitlines()
     assert lines[0].startswith("c sdp-feasibility dim=5")
     body = [ln for ln in lines if not ln.startswith("c")]
-    assert len(body) == len(problem.constraints)
+    assert len(body) == sum(len(block) for block in problem.blocks)
     for ln in body:
         relation, rhs, *terms = ln.split()
         assert relation in ("=", ">=")
@@ -279,6 +264,34 @@ def test_export_problem_format():
             r, c, coeff = term.split(":")
             assert 0 <= int(r) <= int(c) < 5
             float(coeff)
+    # terms keep their construction order: a norm link's diagonal term comes first
+    assert body[1] == "= 0 1:1:1 0:1:-1"
+    assert body[-1] == "= 0 1:4:1 2:4:1 0:4:-2"
+
+
+# sha256 of export_problem's text, recorded before the constraint families
+# became array blocks; the text must not change.
+EXPORT_SHA256 = {
+    ("complete", "weak"): "e1d402153bf11b786c05d97f1f4ae8e60ececce635b1762311a8bc62e8a9c03a",
+    ("complete", "strong"): "2ea3c3f5776fd8cfcb2cb46a78e2f99c534df98bdc273adeee28e603a03d75bd",
+    ("empty", "weak"): "d6618a3345bc86a7de8735fd6f9e7c3acf7d9c8df37a64acb88bbec21dafdb52",
+    ("empty", "strong"): "ba66cbf1047330ebc6ffe53a43827b445f0acdc1af3092960d09c0ef6a300e4a",
+    ("planted", "weak"): "a443461c260612bda521a63251a5318c2a50d6f8b264d8bb6533e62a0067a1fd",
+    ("planted", "strong"): "a084310e1f438dc2e9c82d80889d935d9796b60bf7ffaa1505c68e3b450bf161",
+}
+
+
+def test_export_problem_golden_text():
+    graphs = {
+        "complete": (complete_bipartite(2, 3), 2),
+        "empty": (empty_bipartite(4, 5), 1),
+        "planted": (planted_instance(10, 3, 0.4, seed=1)[0], 3),
+    }
+    for (name, kind), digest in EXPORT_SHA256.items():
+        graph, k = graphs[name]
+        build = build_weak_relaxation if kind == "weak" else build_strong_relaxation
+        text = export_problem(build(graph, k))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, kind)
 
 
 def test_gram_text_round_trip():
@@ -293,31 +306,89 @@ def test_solved_fixture_outcomes_pass_check(solved_planted):
         report = check_feasibility(case.problem, case.outcome.gram, eps=1e-8)
         assert report.passed
         assert case.outcome.max_violation <= 1e-8
+        # the solver accepts on the evaluator check_feasibility scores with
+        assert case.outcome.max_violation == report.max_violation
 
 
-def _lstsq_proj_eq(ops, x):
-    """Reference: least-norm correction onto the full compiled equality system."""
-    a = ops.comp.eq_matrix.toarray()
+def test_worst_constraint_names():
+    g, sol = planted_instance(8, 3, 0.0, seed=5)
+    left, right = sol.biclique.left, sol.biclique.right
+    # a block one vertex short of k misses the mass and degree rows
+    report = check_feasibility(build_strong_relaxation(g, 3), indicator_gram(8, 8, left[:2], right[:2]))
+    assert report.worst_constraint == "mass-left"
+    assert report.max_violation == 1.0
+    empty = check_feasibility(build_strong_relaxation(empty_bipartite(2, 2), 1), weak_gap_solution(2))
+    assert empty.worst_constraint == "frac-degree-u0"
+    full = np.ones((1 + 5 + 5, 1 + 5 + 5))
+    planted = planted_instance(5, 2, 0.0, seed=0)[0]
+    report = check_feasibility(build_weak_relaxation(planted, 5), GramMatrix(full))
+    first_gap = next((i, j) for i in range(5) for j in range(5) if not planted.dense()[i, j])
+    assert report.worst_constraint == f"non-edge-{first_gap[0]}-{first_gap[1]}"
+
+
+def test_inequality_rows_must_be_single_positive_entries():
+    from mbb_sdp.sdp import _ProjectionOps
+
+    for rows, cols, coeff in (([[0, 1]], [[1, 2]], [[1.0, 1.0]]), ([[1]], [[2]], [[-1.0]])):
+        block = ConstraintBlock(rows, cols, coeff, [0.0], ">=", ["lower"])
+        with pytest.raises(ValueError, match="constraint 'lower' is not one"):
+            _ProjectionOps(SdpProblem(3, (block,)))
+
+
+def _equality_system(problem):
+    """Every equality row over the row-major vec(M), built term by term with
+    off-diagonal terms split 0.5/0.5 between (r, c) and (c, r)."""
+    dim = problem.dim
+    a, b = [], []
+    for block in problem.blocks:
+        if block.relation != "=":
+            continue
+        for r_row, c_row, x_row, rhs in zip(block.rows, block.cols, block.coeff, block.rhs):
+            row = np.zeros(dim * dim)
+            for r, c, x in zip(r_row, c_row, x_row):
+                if r == c:
+                    row[r * dim + c] += x
+                else:
+                    row[r * dim + c] += 0.5 * x
+                    row[c * dim + r] += 0.5 * x
+            a.append(row)
+            b.append(rhs)
+    return np.array(a).reshape(-1, dim * dim), np.array(b)
+
+
+def _lstsq_proj_eq(problem, x):
+    """Reference: least-norm correction onto the full equality system."""
+    a, b = _equality_system(problem)
     vec = x.ravel()
-    step = np.linalg.lstsq(a, a @ vec - ops.comp.eq_rhs, rcond=None)[0]
+    step = np.linalg.lstsq(a, a @ vec - b, rcond=None)[0]
     return (vec - step).reshape(x.shape)
 
 
 def _hand_built_problem():
     # Zero rows pin a diagonal entry (3,3), entries the mass and degree rows
-    # use ((0,3) and (1,3)), and one with a non-unit coefficient.
-    cons = (
-        LinearConstraint(((0, 0, 1.0),), "=", 1.0, "anchor"),
-        LinearConstraint(((1, 1, 1.0), (0, 1, -1.0)), "=", 0.0, "link-1"),
-        LinearConstraint(((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)), "=", 1.5, "mass"),
-        LinearConstraint(((1, 2, 1.0), (1, 3, 1.0), (0, 1, -1.0)), "=", 0.0, "degree-1"),
-        LinearConstraint(((3, 3, 1.0),), "=", 0.0, "zero-diag"),
-        LinearConstraint(((3, 0, 1.0),), "=", 0.0, "zero-mass-entry"),
-        LinearConstraint(((1, 3, 1.0),), "=", 0.0, "zero-degree-entry"),
-        LinearConstraint(((2, 3, 2.0),), "=", 0.0, "zero-scaled"),
-        LinearConstraint(((1, 2, 1.0),), ">=", 0.0, "nonneg"),
+    # use ((0,3) and (1,3)), and one with a non-unit coefficient.  The anchor
+    # row shares their single-term block but, with rhs 1, is a coupling row.
+    blocks = (
+        ConstraintBlock(
+            [[0], [3], [3], [1], [2]],
+            [[0], [3], [0], [3], [3]],
+            [[1.0], [1.0], [1.0], [1.0], [2.0]],
+            [1.0, 0.0, 0.0, 0.0, 0.0],
+            "=",
+            ["anchor", "zero-diag", "zero-mass-entry", "zero-degree-entry", "zero-scaled"],
+        ),
+        ConstraintBlock([[1, 0]], [[1, 1]], [[1.0, -1.0]], [0.0], "=", ["link-1"]),
+        ConstraintBlock(
+            [[0, 0, 0], [1, 1, 0]],
+            [[1, 2, 3], [2, 3, 1]],
+            [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]],
+            [1.5, 0.0],
+            "=",
+            ["mass", "degree-1"],
+        ),
+        ConstraintBlock([[1]], [[2]], [[1.0]], [0.0], ">=", ["nonneg"]),
     )
-    return SdpProblem(4, cons, label="hand-built")
+    return SdpProblem(4, blocks, label="hand-built")
 
 
 def test_proj_eq_matches_least_norm_projection():
@@ -334,8 +405,9 @@ def test_proj_eq_matches_least_norm_projection():
             x = rng.standard_normal((problem.dim, problem.dim))
             x = x + x.T
             y = ops.proj_eq(x)
-            assert np.abs(y - _lstsq_proj_eq(ops, x)).max() <= 1e-10, problem.label
-            assert np.abs(ops.comp.eq_matrix @ y.ravel() - ops.comp.eq_rhs).max() <= 1e-9
+            assert np.abs(y - _lstsq_proj_eq(problem, x)).max() <= 1e-10, problem.label
+            a, b = _equality_system(problem)
+            assert np.abs(a @ y.ravel() - b).max() <= 1e-9
             assert np.abs(ops.proj_eq(y) - y).max() <= 1e-12
 
 
@@ -343,17 +415,18 @@ def test_proj_eq_factors_only_the_coupling_rows():
     from mbb_sdp.sdp import _ProjectionOps
 
     graph, _ = planted_instance(10, 3, 0.2, seed=4)
-    ops = _ProjectionOps(build_strong_relaxation(graph, 3))
+    problem = build_strong_relaxation(graph, 3)
+    ops = _ProjectionOps(problem)
     # anchor norm, 2n norm links, two mass rows, 2n degree rows
-    assert ops.comp.coupling.shape[0] == 4 * 10 + 3
-    assert ops.comp.eq_matrix.shape[0] == 4 * 10 + 3 + graph.num_non_edges
-    mask = ops.comp.zero_mask.reshape(ops.dim, ops.dim)
+    assert ops.coupling.shape[0] == 4 * 10 + 3
+    assert _equality_system(problem)[0].shape[0] == 4 * 10 + 3 + graph.num_non_edges
+    mask = ops.zero_mask.reshape(ops.dim, ops.dim)
     assert np.array_equal(mask, mask.T)
     assert mask.sum() == 2 * graph.num_non_edges
-    assert ops.comp.coupling[:, ops.comp.zero_mask].nnz == 0
+    assert ops.coupling[:, ops.zero_mask].nnz == 0
 
     hand = _ProjectionOps(_hand_built_problem())
-    assert hand.comp.coupling.shape[0] == 4
-    assert sorted(map(tuple, np.argwhere(hand.comp.zero_mask.reshape(4, 4)))) == [
+    assert hand.coupling.shape[0] == 4
+    assert sorted(map(tuple, np.argwhere(hand.zero_mask.reshape(4, 4)))) == [
         (0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)
     ]
