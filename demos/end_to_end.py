@@ -1,7 +1,8 @@
 """Run the whole pipeline once on a small planted instance and narrate it.
 
-The run solves the relaxation over a ladder of k values and rounds at the
-largest feasible one.  A greedy baseline competes with the rounded result,
+The run solves the relaxation for k = cap, cap - 1, ... down to the first
+feasible k, where cap is the largest k the degree sequences allow, and rounds
+there.  A greedy baseline competes with the rounded result,
 and the report says which method produced the winner.
 """
 
@@ -24,11 +25,10 @@ def main():
     best, report = approximate_mbb(graph, config)
 
     search = report.search
-    print(f"k-search ({report.config['search']}): k* = {search['k_star']}")
+    print(f"k-search ({report.config['search']}) from the degree cap "
+          f"{search['degree_cap']}: k* = {search['k_star']}")
     for entry in search["per_k"]:
-        iters = entry.get("iterations")
-        suffix = f"  ({iters} iterations)" if iters is not None else ""
-        print(f"  k={entry['k']:<2d} {entry['status']}{suffix}")
+        print(f"  k={entry['k']:<2d} {entry['status']}  ({entry['iterations']} iterations)")
     print()
 
     if report.rounding is not None:

@@ -2,11 +2,14 @@
 
 The pipeline searches for the largest target size k at which the strong
 relaxation is feasible, rounds the solution at that k, runs a combinatorial
-greedy baseline, and returns the largest verified biclique found.  Because
-the relaxation's mass rows are equalities, feasibility is not a priori
-monotone in k; the default search is a descending scan with geometrically
-growing skips that rescans any gap it jumped over, and it records every
-non-monotone anomaly it observes.  A pure binary search sits behind a flag.
+greedy baseline, and returns the largest verified biclique found.  The top
+of the search range is the smaller side, clamped once to the degree cap (the
+largest k the degree sequences allow the relaxation).  Because the
+relaxation's mass rows are equalities, feasibility is not a priori monotone
+in k, so the default search is a descending scan one k at a time: its first
+feasible k is the largest feasible k in range, and no k below it is solved.
+A binary search sits behind a flag; it can observe non-monotone anomalies,
+which the report records.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("instance", "n", "planted_k", "found_size", "exact_size", "method", "time")
-
-SKIPPED_BY_BOUND = "skipped-by-degree-bound"
 
 
 def write_text_atomic(path: str | os.PathLike, text: str) -> None:
@@ -210,21 +211,15 @@ def _degree_cap(graph: BipartiteGraph) -> int:
 
 
 class _KSearch:
-    """Memoized feasibility tester that records one entry per examined k."""
+    """Feasibility tester that records one entry per solved k."""
 
     def __init__(self, graph: BipartiteGraph, config: PipelineConfig):
         self.graph = graph
         self.config = config
         self.records: dict[int, dict] = {}
         self.solutions: dict[int, FeasibilityOutcome] = {}
-        self.degree_cap = _degree_cap(graph) if config.degree_prefilter else None
 
     def feasible(self, k: int) -> bool:
-        if k in self.records:
-            return self.records[k]["status"] == FEASIBLE
-        if self.degree_cap is not None and k > self.degree_cap:
-            self.records[k] = {"k": k, "status": SKIPPED_BY_BOUND}
-            return False
         problem = build_strong_relaxation(self.graph, k)
         outcome = solve_feasibility(problem, self.config.solver)
         self.records[k] = {
@@ -254,45 +249,16 @@ class _KSearch:
 
 
 def _scan_descending(search: _KSearch, k_lo: int, k_hi: int) -> int | None:
-    """Descending scan with geometric skips.
+    """Test k = k_hi, k_hi - 1, ... and return the first feasible k, or None.
 
-    The primary descent starts at k_hi with skips that double (capped near
-    k/3).  Once some k tests feasible, every gap the descent skipped over
-    above it is retested exhaustively (tests are memoized), so the returned
-    k is certified: all larger candidates either tested infeasible or fell
-    to the degree bound.  When nothing tests feasible only the visited ks
-    are certified, which the per-k records in the report make explicit.
+    Every k above the returned one tested infeasible, so it is the largest
+    feasible k in [k_lo, k_hi] even when feasibility is not monotone, and no
+    k below it is solved: the scan costs exactly the solves in [k*, k_hi].
     """
-    best: int | None = None
-    tested: list[int] = []
-    k = k_hi
-    step = 1
-    while k >= k_lo:
+    for k in range(k_hi, k_lo - 1, -1):
         if search.feasible(k):
-            best = k
-            break
-        tested.append(k)
-        step = min(step * 2, max(1, k // 3))
-        k -= step
-    if best is None:
-        return None
-    # Gaps between consecutive tested points, and between the last tested
-    # point and the feasible k, walked largest-first.
-    gaps: list[tuple[int, int]] = []
-    upper: int | None = None
-    for t in tested:
-        if upper is not None and t + 1 <= upper - 1:
-            gaps.append((t + 1, upper - 1))
-        upper = t
-    if upper is not None and best + 1 <= upper - 1:
-        gaps.append((best + 1, upper - 1))
-    for lo, hi in sorted(gaps, reverse=True):
-        lo = max(lo, best + 1)
-        for candidate in range(hi, lo - 1, -1):
-            if search.feasible(candidate):
-                best = candidate
-                break
-    return best
+            return k
+    return None
 
 
 def _binary_search(search: _KSearch, k_lo: int, k_hi: int) -> int | None:
@@ -340,29 +306,32 @@ def approximate_mbb(
     }
     timings: dict[str, float] = {}
 
-    search_meta: dict = {"per_k": [], "k_star": None, "anomalies": []}
+    t0 = time.perf_counter()
+    degree_cap = _degree_cap(graph) if config.degree_prefilter else None
+    search_meta: dict = {"per_k": [], "k_star": None, "anomalies": [], "degree_cap": degree_cap}
     rounding_dict = None
     diag_dict = None
     candidates: list[tuple[str, Biclique]] = []
 
-    t0 = time.perf_counter()
     k_star = None
     run: RoundingRun | None = None
     if graph.num_edges > 0:
         k_hi = min(graph.n_u, graph.n_v)
         if config.k_hi is not None:
             k_hi = min(k_hi, config.k_hi)
+        if degree_cap is not None:
+            k_hi = min(k_hi, degree_cap)  # no k above the cap is feasible
         searcher = _KSearch(graph, config)
         if config.k_lo <= k_hi:
             if config.search == "binary":
                 k_star = _binary_search(searcher, config.k_lo, k_hi)
             else:
                 k_star = _scan_descending(searcher, config.k_lo, k_hi)
-        search_meta = {
-            "per_k": searcher.per_k(),
-            "k_star": k_star,
-            "anomalies": searcher.anomalies(k_star),
-        }
+        search_meta.update(
+            per_k=searcher.per_k(),
+            k_star=k_star,
+            anomalies=searcher.anomalies(k_star),
+        )
         timings["search"] = time.perf_counter() - t0
 
         if k_star is not None:

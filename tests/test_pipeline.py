@@ -72,6 +72,49 @@ def test_degree_cap_bounds():
     assert pipeline_module._degree_cap(g) == 3
 
 
+class _FakeVerdicts:
+    """Stands in for the k-search's feasibility tester: fixed verdicts, no
+    SDP, every query logged."""
+
+    def __init__(self, feasible_ks):
+        self.feasible_ks = frozenset(feasible_ks)
+        self.queries = []
+
+    def feasible(self, k):
+        self.queries.append(k)
+        return k in self.feasible_ks
+
+
+def _check_scan(feasible_ks, k_lo, k_hi):
+    oracle = _FakeVerdicts(feasible_ks)
+    k_star = pipeline_module._scan_descending(oracle, k_lo, k_hi)
+    in_range = [k for k in feasible_ks if k_lo <= k <= k_hi]
+    assert k_star == (max(in_range) if in_range else None)
+    # exactly k_hi, k_hi - 1, ..., k*, top down: nothing below k* is solved
+    bottom = k_lo if k_star is None else k_star
+    assert oracle.queries == list(range(k_hi, bottom - 1, -1))
+
+
+@pytest.mark.parametrize(
+    "feasible_ks, k_lo, k_hi",
+    [
+        ({4, 10}, 1, 12),  # search-sparse's n = 40 graph below its degree cap
+        ({4, 10}, 1, 40),  # the same verdicts scanned from the side size
+    ],
+)
+def test_scan_descending_stops_at_the_largest_feasible_k(feasible_ks, k_lo, k_hi):
+    _check_scan(feasible_ks, k_lo, k_hi)
+
+
+def test_scan_descending_on_every_small_verdict_set():
+    ks = range(1, 7)
+    for mask in range(1 << len(ks)):
+        feasible_ks = {k for k in ks if mask >> (k - 1) & 1}
+        for k_lo in ks:
+            for k_hi in range(k_lo, ks[-1] + 1):
+                _check_scan(feasible_ks, k_lo, k_hi)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(search="linear")
@@ -89,11 +132,9 @@ def test_pipeline_on_pure_planted_block():
     assert report.search["k_star"] == 2
     assert report.search["anomalies"] == []
     assert report.exact["size"] == 2
-    # everything above the planted size fell to the degree bound, unsolved
-    skipped = [rec for rec in report.search["per_k"] if rec["k"] > 2]
-    assert skipped and all(
-        rec["status"] == pipeline_module.SKIPPED_BY_BOUND for rec in skipped
-    )
+    # the degree cap pins the search's top to the planted size: nothing above it is solved
+    assert report.search["degree_cap"] == 2
+    assert all(rec["k"] <= 2 for rec in report.search["per_k"])
     assert report.rounding is not None
     assert report.diagnostics is not None
     assert report.diagnostics["pair_mass_ok"]
@@ -138,6 +179,9 @@ def test_pipeline_k_hi_limits_search():
     best, report = approximate_mbb(g, fast_config(k_hi=1))
     assert report.search["k_star"] == 1
     assert all(rec["k"] <= 1 for rec in report.search["per_k"])
+    _, unfiltered = approximate_mbb(g, fast_config(k_hi=1, degree_prefilter=False))
+    assert unfiltered.search["degree_cap"] is None
+    assert [rec["k"] for rec in unfiltered.search["per_k"]] == [1]
 
 
 def test_report_serialization_schema():

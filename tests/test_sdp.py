@@ -191,6 +191,23 @@ def test_warm_start_resolves_quickly():
     assert again.iterations <= first.iterations
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known defect: product-dr calls a feasible k infeasible on a plateau",
+)
+def test_product_dr_verdict_on_a_certified_feasible_k():
+    g, planted = planted_instance(32, 8, 0.1, seed=7)
+    problem = build_strong_relaxation(g, 7)
+    left, right = planted.biclique.left[:7], planted.biclique.right[:7]
+    certificate = check_feasibility(problem, indicator_gram(32, 32, left, right), eps=1e-6)
+    if not certificate.passed:
+        # pytest.fail is not an AssertionError, so a missing certificate is a real failure
+        pytest.fail(f"indicator certificate fails at k = 7: {certificate.max_violation:.3g}")
+    out = solve_feasibility(problem, SolverConfig(backend="product-dr"))
+    assert out.status != INFEASIBLE
+
+
 def test_unknown_backend_raises():
     problem = build_weak_relaxation(complete_bipartite(2, 2), 1)
     with pytest.raises(ValueError, match="'dykstra', 'product-dr'"):
