@@ -25,7 +25,7 @@ def main():
     best, report = approximate_mbb(graph, config)
 
     search = report.search
-    print(f"k-search ({report.config['search']}) from the degree cap "
+    print("k-search (descending scan) from the degree cap "
           f"{search['degree_cap']}: k* = {search['k_star']}")
     for entry in search["per_k"]:
         print(f"  k={entry['k']:<2d} {entry['status']}  ({entry['iterations']} iterations)")

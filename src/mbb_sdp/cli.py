@@ -198,7 +198,6 @@ def _cmd_extract(args) -> int:
 def _cmd_pipeline(args) -> int:
     graph = _load_graph(args.input)
     config = PipelineConfig(
-        search=args.search,
         solver=_solver_config(args),
         trials=args.trials,
         seed=args.seed,
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full search, round, extract pipeline")
     p.add_argument("--input", required=True)
-    p.add_argument("--search", choices=("scan", "binary"), default="scan")
     p.add_argument("--k-hi", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

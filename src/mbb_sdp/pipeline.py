@@ -6,10 +6,8 @@ greedy baseline, and returns the largest verified biclique found.  The top
 of the search range is the smaller side, clamped once to the degree cap (the
 largest k the degree sequences allow the relaxation).  Because the
 relaxation's mass rows are equalities, feasibility is not a priori monotone
-in k, so the default search is a descending scan one k at a time: its first
-feasible k is the largest feasible k in range, and no k below it is solved.
-A binary search sits behind a flag; it can observe non-monotone anomalies,
-which the report records.
+in k, so the search is a descending scan one k at a time: its first feasible
+k is the largest feasible k in range, and no k below it is solved.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +36,6 @@ from .graphs import (
 )
 from .rounding import RoundingParams, RoundingRun, diagnostics, round_many
 from .sdp import (
-    FEASIBLE,
-    INFEASIBLE,
-    SOLVER_LIMIT,
     FeasibilityOutcome,
     SolverConfig,
     build_strong_relaxation,
@@ -82,10 +77,9 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 @dataclass
 class PipelineConfig:
-    """Pipeline knobs: search mode and range, solver and rounding settings,
-    and method toggles."""
+    """Pipeline knobs: search range, solver and rounding settings, and method
+    toggles."""
 
-    search: str = "scan"
     k_lo: int = 1
     k_hi: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -95,11 +89,8 @@ class PipelineConfig:
     use_baseline: bool = True
     use_exact: bool = False
     exact_size_limit: int | None = None
-    degree_prefilter: bool = True
 
     def __post_init__(self) -> None:
-        if self.search not in ("scan", "binary"):
-            raise ValueError(f"search mode must be 'scan' or 'binary', got {self.search!r}")
         if self.k_lo < 1:
             raise ValueError("k_lo must be at least 1")
         if self.k_hi is not None and self.k_hi < self.k_lo:
@@ -235,18 +226,6 @@ class _KSearch:
     def per_k(self) -> list[dict]:
         return [self.records[k] for k in sorted(self.records)]
 
-    def anomalies(self, k_star: int | None) -> list[int]:
-        """ks that tested infeasible below some feasible k (non-monotone)."""
-        feasible_ks = [k for k, rec in self.records.items() if rec["status"] == FEASIBLE]
-        if not feasible_ks:
-            return []
-        top = max(feasible_ks)
-        return sorted(
-            k
-            for k, rec in self.records.items()
-            if k < top and rec["status"] in (INFEASIBLE, SOLVER_LIMIT)
-        )
-
 
 def _scan_descending(search: _KSearch, k_lo: int, k_hi: int) -> int | None:
     """Test k = k_hi, k_hi - 1, ... and return the first feasible k, or None.
@@ -259,19 +238,6 @@ def _scan_descending(search: _KSearch, k_lo: int, k_hi: int) -> int | None:
         if search.feasible(k):
             return k
     return None
-
-
-def _binary_search(search: _KSearch, k_lo: int, k_hi: int) -> int | None:
-    best: int | None = None
-    lo, hi = k_lo, k_hi
-    while lo <= hi:
-        mid = (lo + hi + 1) // 2
-        if search.feasible(mid):
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
 
 
 def approximate_mbb(
@@ -287,7 +253,6 @@ def approximate_mbb(
     t_start = time.perf_counter()
     n = max(graph.n_u, graph.n_v)
     config_echo = {
-        "search": config.search,
         "k_lo": config.k_lo,
         "k_hi": config.k_hi,
         "eps_feas": config.solver.eps_feas,
@@ -297,7 +262,6 @@ def approximate_mbb(
         "tau": config.tau,
         "use_baseline": config.use_baseline,
         "use_exact": config.use_exact,
-        "degree_prefilter": config.degree_prefilter,
     }
     instance_meta = {
         "n_u": graph.n_u,
@@ -307,7 +271,9 @@ def approximate_mbb(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    degree_cap = _degree_cap(graph) if config.degree_prefilter else None
+    degree_cap = _degree_cap(graph)
+    # A scan's first feasible k is the largest, so it meets no non-monotone
+    # anomaly; the key stays in the report's schema, always empty.
     search_meta: dict = {"per_k": [], "k_star": None, "anomalies": [], "degree_cap": degree_cap}
     rounding_dict = None
     diag_dict = None
@@ -316,22 +282,13 @@ def approximate_mbb(
     k_star = None
     run: RoundingRun | None = None
     if graph.num_edges > 0:
-        k_hi = min(graph.n_u, graph.n_v)
+        k_hi = degree_cap  # at most the smaller side, and no k above it is feasible
         if config.k_hi is not None:
             k_hi = min(k_hi, config.k_hi)
-        if degree_cap is not None:
-            k_hi = min(k_hi, degree_cap)  # no k above the cap is feasible
         searcher = _KSearch(graph, config)
         if config.k_lo <= k_hi:
-            if config.search == "binary":
-                k_star = _binary_search(searcher, config.k_lo, k_hi)
-            else:
-                k_star = _scan_descending(searcher, config.k_lo, k_hi)
-        search_meta.update(
-            per_k=searcher.per_k(),
-            k_star=k_star,
-            anomalies=searcher.anomalies(k_star),
-        )
+            k_star = _scan_descending(searcher, config.k_lo, k_hi)
+        search_meta.update(per_k=searcher.per_k(), k_star=k_star)
         timings["search"] = time.perf_counter() - t0
 
         if k_star is not None:
@@ -441,22 +398,17 @@ def _build_instance(gen: dict, base_dir: Path) -> tuple[BipartiteGraph, int | No
     raise ValueError(f"unknown generator type {kind!r}")
 
 
+_SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig)) - {"warm_start"}
+_PIPELINE_KEYS = frozenset(f.name for f in fields(PipelineConfig)) - {"solver"}
+
+
 def _config_from_dict(raw: dict) -> PipelineConfig:
-    solver_keys = {"eps_feas", "eps_psd", "max_iterations", "plateau_window", "backend"}
-    solver = SolverConfig(**{k: v for k, v in raw.items() if k in solver_keys})
-    pipeline_keys = {
-        "search",
-        "k_lo",
-        "k_hi",
-        "trials",
-        "seed",
-        "tau",
-        "use_baseline",
-        "use_exact",
-        "exact_size_limit",
-        "degree_prefilter",
-    }
-    return PipelineConfig(solver=solver, **{k: v for k, v in raw.items() if k in pipeline_keys})
+    """A spec run's flat ``config`` object; a key that sets no knob is an error."""
+    unknown = sorted(set(raw) - _SOLVER_KEYS - _PIPELINE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    solver = SolverConfig(**{k: v for k, v in raw.items() if k in _SOLVER_KEYS})
+    return PipelineConfig(solver=solver, **{k: v for k, v in raw.items() if k in _PIPELINE_KEYS})
 
 
 def run_experiment(

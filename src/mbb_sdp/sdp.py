@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +44,7 @@ __all__ = [
 EPS_FEAS_DEFAULT = 1e-6
 EPS_PSD_DEFAULT = 1e-8
 EPS_FACTOR_DEFAULT = 1e-7
+PLATEAU_RTOL = 1e-3
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-at-tolerance"
@@ -193,17 +194,14 @@ class SolverConfig:
     """Knobs for solve_feasibility.
 
     eps_feas: a point is accepted feasible when every constraint violation is
-    at most this. eps_psd: eigenvalues above -eps_psd count as nonnegative
-    when factorizing. Infeasibility is declared when the best violation sits
-    above 10 * eps_feas without relative progress over plateau_window sweeps.
+    at most this. Infeasibility is declared when the best violation sits
+    above 10 * eps_feas without a PLATEAU_RTOL relative improvement over
+    plateau_window sweeps. warm_start, when given, is the first iterate.
     """
 
     eps_feas: float = EPS_FEAS_DEFAULT
-    eps_psd: float = EPS_PSD_DEFAULT
     max_iterations: int = 20000
     plateau_window: int = 1000
-    plateau_rtol: float = 1e-3
-    backend: str = "product-dr"
     warm_start: np.ndarray | None = None
 
 
@@ -385,7 +383,7 @@ def check_feasibility(
 
 
 # ---------------------------------------------------------------------------
-# Solver backends
+# Solver
 
 
 def _coupling_matrix(
@@ -411,8 +409,8 @@ def _coupling_matrix(
 
 
 class _ProjectionOps:
-    """The three projections both backends share: the equality affine set,
-    the allowed-entry orthant, and the PSD cone.
+    """The solver's three projections: the equality affine set, the
+    allowed-entry orthant, and the PSD cone.
 
     The equality set splits in two.  Single-term rows with rhs 0 pin an
     entry to zero; they become a mask over vec(M) covering both (r, c) and
@@ -424,7 +422,7 @@ class _ProjectionOps:
     are rank-deficient by construction) plus one iterative-refinement step.
 
     This is the exact Frobenius projection onto the whole equality set for
-    symmetric input, and every iterate of both backends is symmetric: a zero
+    symmetric input, and every iterate of the solver is symmetric: a zero
     row (M[r,c] + M[c,r]) / 2 = 0 is met by zeroing both entries, which
     moves x along directions orthogonal to the free entries C acts on, and a
     coupling term on a masked entry reads 0 on the set anyway.  On an
@@ -455,7 +453,7 @@ class _ProjectionOps:
                 bad = block.coeff[:, 0] <= 0 if single else np.ones(len(block), dtype=bool)
                 if bad.any():
                     raise ValueError(
-                        f"reference backend only supports single-entry lower bounds, "
+                        f"the solver only supports single-entry lower bounds, "
                         f"constraint {block.names[int(bad.argmax())]!r} is not one"
                     )
                 ineq.append((block.rows[:, 0], block.cols[:, 0], block.rhs / block.coeff[:, 0]))
@@ -513,58 +511,15 @@ class _ProjectionOps:
         return np.zeros((self.dim, self.dim))
 
 
-def _solve_dykstra(problem: SdpProblem, config: SolverConfig) -> FeasibilityOutcome:
-    """Reference backend: cyclic projections with Dykstra correction terms.
-
-    Robust but slow on thin feasible sets; the product-space backend below is
-    the default.  Kept as the baseline other backends are validated against.
-    """
-    iterations = 0
-    try:
-        ops = _ProjectionOps(problem)
-        x = ops.start_point(config)
-
-        projections = []
-        if ops.have_eq:
-            projections.append(ops.proj_eq)
-        if ops.have_ineq:
-            projections.append(ops.proj_ineq)
-        projections.append(ops.proj_psd)
-        corrections = [np.zeros((ops.dim, ops.dim)) for _ in projections]
-
-        best = math.inf
-        stalled = 0
-        for iterations in range(1, config.max_iterations + 1):
-            for idx, proj in enumerate(projections):
-                shifted = x + corrections[idx]
-                y = proj(shifted)
-                corrections[idx] = shifted - y
-                x = y
-            viol = ops.violation(x)
-            if viol <= config.eps_feas:
-                return FeasibilityOutcome(FEASIBLE, GramMatrix(x), viol, iterations)
-            if viol < best * (1.0 - config.plateau_rtol):
-                best = viol
-                stalled = 0
-            else:
-                stalled += 1
-            if stalled >= config.plateau_window and best > 10.0 * config.eps_feas:
-                return FeasibilityOutcome(INFEASIBLE, None, viol, iterations)
-        return FeasibilityOutcome(SOLVER_LIMIT, None, ops.violation(x), iterations)
-    except (np.linalg.LinAlgError, RuntimeError, MemoryError):
-        # Numerical failure is an outcome, not a crash.
-        return FeasibilityOutcome(SOLVER_LIMIT, None, math.inf, iterations)
-
-
 def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityOutcome:
-    """Default backend: Douglas-Rachford splitting on the product space.
+    """Douglas-Rachford splitting on the product space.
 
     Each constraint family keeps its own copy of the matrix; the consensus
     set forces the copies equal (projection is averaging) and one sweep
     reflects the average through every family's projection.  Converges far
-    faster than cyclic sweeps when the feasible set is thin.  On inconsistent
-    systems the averaged iterate stalls at a positive gap, which the plateau
-    rule reports as infeasible-at-tolerance.
+    faster than cyclic projections when the feasible set is thin.  On
+    inconsistent systems the averaged iterate stalls at a positive gap, which
+    the plateau rule reports as infeasible-at-tolerance.
     """
     iterations = 0
     check_every = 5
@@ -597,7 +552,7 @@ def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityO
                 viol = ops.violation(candidate)
                 if viol <= config.eps_feas:
                     return FeasibilityOutcome(FEASIBLE, GramMatrix(candidate), viol, iterations)
-                if viol < best * (1.0 - config.plateau_rtol):
+                if viol < best * (1.0 - PLATEAU_RTOL):
                     best = viol
                     best_candidate = candidate
                     stalled = 0
@@ -610,29 +565,16 @@ def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityO
         return FeasibilityOutcome(SOLVER_LIMIT, None, math.inf, iterations)
 
 
-_BACKENDS: dict[str, Callable[[SdpProblem, SolverConfig], FeasibilityOutcome]] = {
-    "dykstra": _solve_dykstra,
-    "product-dr": _solve_product_dr,
-}
-
-
 def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -> FeasibilityOutcome:
     """Find a PSD matrix satisfying the problem, or report why not.
 
-    ``config.backend`` picks "product-dr" (the default) or "dykstra" (the
-    reference).  Statuses: ``feasible`` with a Gram certificate whose worst
-    violation is at most config.eps_feas; ``infeasible-at-tolerance`` when
-    the violation plateaus above 10x that tolerance; ``solver-limit`` when the
-    iteration budget runs out or numerics fail.
+    The solver is product-space Douglas-Rachford.  Statuses: ``feasible``
+    with a Gram certificate whose worst violation is at most config.eps_feas;
+    ``infeasible-at-tolerance`` when the violation plateaus above 10x that
+    tolerance; ``solver-limit`` when the iteration budget runs out or
+    numerics fail.
     """
-    config = config or SolverConfig()
-    try:
-        backend = _BACKENDS[config.backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver backend {config.backend!r}; choose one of {tuple(sorted(_BACKENDS))}"
-        ) from None
-    return backend(problem, config)
+    return _solve_product_dr(problem, config or SolverConfig())
 
 
 def gram_to_vectors(

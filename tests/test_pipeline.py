@@ -117,8 +117,6 @@ def test_scan_descending_on_every_small_verdict_set():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PipelineConfig(search="linear")
-    with pytest.raises(ValueError):
         PipelineConfig(k_lo=0)
     with pytest.raises(ValueError):
         PipelineConfig(k_lo=3, k_hi=2)
@@ -166,12 +164,11 @@ def test_pipeline_single_edge():
     assert report.search["k_star"] == 1
 
 
-def test_pipeline_scan_and_binary_agree():
+def test_pipeline_scan_finds_planted_k():
     for seed in (0, 1, 2):
         g, _ = planted_instance(10, 3, 0.0, seed=seed)
-        _, scan_report = approximate_mbb(g, fast_config(search="scan"))
-        _, binary_report = approximate_mbb(g, fast_config(search="binary"))
-        assert scan_report.search["k_star"] == binary_report.search["k_star"] == 3
+        _, report = approximate_mbb(g, fast_config())
+        assert report.search["k_star"] == 3
 
 
 def test_pipeline_k_hi_limits_search():
@@ -179,9 +176,6 @@ def test_pipeline_k_hi_limits_search():
     best, report = approximate_mbb(g, fast_config(k_hi=1))
     assert report.search["k_star"] == 1
     assert all(rec["k"] <= 1 for rec in report.search["per_k"])
-    _, unfiltered = approximate_mbb(g, fast_config(k_hi=1, degree_prefilter=False))
-    assert unfiltered.search["degree_cap"] is None
-    assert [rec["k"] for rec in unfiltered.search["per_k"]] == [1]
 
 
 def test_report_serialization_schema():
@@ -349,6 +343,29 @@ def test_run_experiment_records_run_errors(tmp_path, capsys):
     assert len(err_lines) == 2
     assert err_lines[0].startswith("mbb: run broken failed: FileNotFoundError: ")
     assert err_lines[1] == "mbb: run bad-kind failed: ValueError: unknown generator type 'nope'"
+
+
+def test_run_experiment_rejects_unknown_config_keys(tmp_path):
+    runs = [
+        {
+            "name": "retired",
+            "generator": {"type": "complete", "n_u": 2, "n_v": 2},
+            "config": {"backend": "dykstra"},
+        },
+        {
+            "name": "known",
+            "generator": {"type": "complete", "n_u": 2, "n_v": 2},
+            "config": {"trials": 8, "max_iterations": 500, "k_hi": 2},
+        },
+    ]
+    spec = write_spec(tmp_path / "spec.json", runs)
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["error", "baseline"]
+    error = json.loads((out / "retired.json").read_text(encoding="utf-8"))["error"]
+    assert error["type"] == "ValueError"
+    assert "backend" in error["message"]
 
 
 def test_run_experiment_leaves_no_temp_files(tmp_path):

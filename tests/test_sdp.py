@@ -151,27 +151,25 @@ def test_gram_matrix_is_symmetrized_and_read_only():
         gram.entries[0, 0] = 5.0
 
 
-def test_solver_integration_both_backends():
+def test_solver_integration():
     g, _ = planted_instance(12, 4, 0.3, seed=7)
     problem = build_strong_relaxation(g, 4)
-    for backend in ("product-dr", "dykstra"):
-        out = solve_feasibility(problem, SolverConfig(backend=backend, max_iterations=40000))
-        assert out.status == FEASIBLE
-        assert out.feasible
-        report = check_feasibility(problem, out.gram, eps=1e-6)
-        assert report.passed
-        # the Gram diagonal carries vertex masses, all within [0, 1]
-        diag = np.diag(out.gram.entries)[1:]
-        assert diag.min() >= -1e-6 and diag.max() <= 1 + 1e-6
+    out = solve_feasibility(problem, SolverConfig(max_iterations=40000))
+    assert out.status == FEASIBLE
+    assert out.feasible
+    report = check_feasibility(problem, out.gram, eps=1e-6)
+    assert report.passed
+    # the Gram diagonal carries vertex masses, all within [0, 1]
+    diag = np.diag(out.gram.entries)[1:]
+    assert diag.min() >= -1e-6 and diag.max() <= 1 + 1e-6
 
 
-def test_empty_graph_strong_relaxation_infeasible_both_backends():
+def test_empty_graph_strong_relaxation_infeasible():
     problem = build_strong_relaxation(empty_bipartite(4, 4), 1)
-    for backend in ("product-dr", "dykstra"):
-        out = solve_feasibility(problem, SolverConfig(backend=backend))
-        assert out.status == INFEASIBLE
-        assert not out.feasible
-        assert out.gram is None
+    out = solve_feasibility(problem, SolverConfig())
+    assert out.status == INFEASIBLE
+    assert not out.feasible
+    assert out.gram is None
 
 
 def test_solver_limit_on_tiny_budget():
@@ -204,14 +202,8 @@ def test_product_dr_verdict_on_a_certified_feasible_k():
     if not certificate.passed:
         # pytest.fail is not an AssertionError, so a missing certificate is a real failure
         pytest.fail(f"indicator certificate fails at k = 7: {certificate.max_violation:.3g}")
-    out = solve_feasibility(problem, SolverConfig(backend="product-dr"))
+    out = solve_feasibility(problem, SolverConfig())
     assert out.status != INFEASIBLE
-
-
-def test_unknown_backend_raises():
-    problem = build_weak_relaxation(complete_bipartite(2, 2), 1)
-    with pytest.raises(ValueError, match="'dykstra', 'product-dr'"):
-        solve_feasibility(problem, SolverConfig(backend="nope"))
 
 
 def test_gram_to_vectors_reconstructs():
