@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BipartiteGraph, Biclique, induced_counts
+from .graphs import BipartiteGraph, Biclique
 
 __all__ = [
     "CleaningTrace",
@@ -23,6 +23,9 @@ __all__ = [
     "construct_biclique",
     "greedy_extract",
     "best_extractable_r",
+    "clean_array",
+    "extract_array",
+    "extractable_r",
 ]
 
 
@@ -55,6 +58,118 @@ class CleaningTrace:
         return tuple(j for j in range(self.n_v) if j not in gone)
 
 
+def clean_array(
+    adj: np.ndarray, r: int
+) -> tuple[list[int], list[int], list[tuple[str, int]], list[int], int]:
+    """Cleaning core on a boolean adjacency array; no validation.
+
+    Returns (left survivors, right survivors, deletions, potentials after
+    each deletion, initial potential), indices being rows and columns of
+    ``adj``.  The deletion order is density_clean's: the lowest bad U vertex,
+    else the lowest bad V vertex.  Deleting a U vertex changes no other U
+    vertex's test (its degree and the live V count stay put), so every U
+    vertex bad at one scan is deleted in index order before V is scanned.
+    """
+    n_u, n_v = adj.shape
+    rows = adj.tolist()
+    deg_u = adj.sum(axis=1).tolist()
+    deg_v = adj.sum(axis=0).tolist()
+    left = list(range(n_u))
+    right = list(range(n_v))
+    two_r = 2 * r
+    edges = sum(deg_u)
+    potential = edges - two_r * (n_u * n_v - edges)
+    initial = potential
+    deleted: list[tuple[str, int]] = []
+    potentials: list[int] = []
+    while True:
+        # deg <= 2r (live - deg), written as deg (1 + 2r) <= 2r live
+        live_v = len(right)
+        bad = [i for i in left if deg_u[i] * (1 + two_r) <= two_r * live_v]
+        if bad:
+            for i in bad:
+                potential += two_r * (live_v - deg_u[i]) - deg_u[i]
+                row = rows[i]
+                for j in right:
+                    if row[j]:
+                        deg_v[j] -= 1
+                deleted.append(("U", i))
+                potentials.append(potential)
+            gone = set(bad)
+            left = [i for i in left if i not in gone]
+        live_u = len(left)
+        j = next((j for j in right if deg_v[j] * (1 + two_r) <= two_r * live_u), None)
+        if j is None:
+            break
+        potential += two_r * (live_u - deg_v[j]) - deg_v[j]
+        for i in left:
+            if rows[i][j]:
+                deg_u[i] -= 1
+        right.remove(j)
+        deleted.append(("V", j))
+        potentials.append(potential)
+    return left, right, deleted, potentials, initial
+
+
+def _greedy_pick(
+    rows: list[list[bool]], left: list[int], right: list[int], r: int
+) -> tuple[list[int], list[int]] | None:
+    """Take the r lowest-index live rows, drop their non-neighbors among the
+    live columns, and keep the r lowest-index survivors.  None when fewer
+    than r survive."""
+    chosen = [rows[i] for i in left[:r]]
+    common = [j for j in right if all(row[j] for row in chosen)]
+    if len(common) < r:
+        return None
+    return left[:r], common[:r]
+
+
+def _construct(
+    rows: list[list[bool]], left: list[int], right: list[int], r: int
+) -> tuple[list[int], list[int]]:
+    """construct_biclique's size check and pick on the live rows and columns
+    of a cleaned adjacency; raises ExtractionPreconditionError."""
+    if len(left) < r or len(right) < 2 * r:
+        raise ExtractionPreconditionError(
+            f"cleaned graph ({len(left)}, {len(right)}) is below the required ({r}, {2 * r})"
+        )
+    picked = _greedy_pick(rows, left, right, r)
+    if picked is None:
+        raise ExtractionPreconditionError(
+            "survivor deficit: the graph was not cleaned for this size target"
+        )
+    return picked
+
+
+def extract_array(
+    adj: np.ndarray, r: int, n: int, edges: int
+) -> tuple[list[int], list[int]] | None:
+    """Extraction core on a boolean adjacency array with ``edges`` edges; no
+    validation.
+
+    Cleans at size target r, then picks; returns the biclique's rows and
+    columns of ``adj``, uncertified, or None.  When F - 2 r Q >= 2 n r the
+    pick is guaranteed, and a failure raises ExtractionPreconditionError.
+    """
+    n_u, n_v = adj.shape
+    guaranteed = edges - 2 * r * (n_u * n_v - edges) >= 2 * n * r
+    left, right, _, _, _ = clean_array(adj, r)
+    rows = adj.tolist()
+    if guaranteed:
+        # The potential argument forces both survivor sides to at least 2r here.
+        return _construct(rows, left, right, r)
+    if len(left) < r or len(right) < r:
+        return None
+    return _greedy_pick(rows, left, right, r)
+
+
+def _check_r(r) -> int:
+    r = int(r)
+    if r < 1:
+        raise ValueError(f"size target r must be at least 1, got {r}")
+    return r
+
+
 def density_clean(graph: BipartiteGraph, r: int) -> tuple[BipartiteGraph, CleaningTrace]:
     """Repeatedly delete vertices with edge degree <= 2r x non-edge degree.
 
@@ -63,84 +178,19 @@ def density_clean(graph: BipartiteGraph, r: int) -> tuple[BipartiteGraph, Cleani
     deletion test.  Returns the survivor subgraph relabeled to contiguous
     indices plus the full trace.
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError(f"size target r must be at least 1, got {r}")
+    r = _check_r(r)
     adj = graph.dense()
-    n_u, n_v = graph.n_u, graph.n_v
-    alive_u = np.ones(n_u, dtype=bool)
-    alive_v = np.ones(n_v, dtype=bool)
-    deg_u = adj.sum(axis=1).astype(np.int64)
-    deg_v = adj.sum(axis=0).astype(np.int64)
-    live_u = n_u
-    live_v = n_v
-    edges = int(deg_u.sum())
-    potential = edges - 2 * r * (live_u * live_v - edges)
-    initial = potential
-
-    deleted: list[tuple[str, int]] = []
-    potentials: list[int] = []
-    while True:
-        non_u = live_v - deg_u
-        non_v = live_u - deg_v
-        bad_u = np.flatnonzero(alive_u & (deg_u <= 2 * r * non_u))
-        bad_v = np.flatnonzero(alive_v & (deg_v <= 2 * r * non_v))
-        if bad_u.size == 0 and bad_v.size == 0:
-            break
-        first_u = int(bad_u[0]) if bad_u.size else None
-        first_v = int(bad_v[0]) if bad_v.size else None
-        # Global ordering: U-vertex i sits at index i, V-vertex j at n_u + j.
-        if first_u is not None and (first_v is None or first_u < n_u + first_v):
-            i = first_u
-            gain = -int(deg_u[i]) + 2 * r * int(live_v - deg_u[i])
-            alive_u[i] = False
-            live_u -= 1
-            row = adj[i] & alive_v
-            deg_v = deg_v - row
-            deg_u[i] = 0
-            deleted.append(("U", i))
-        else:
-            j = first_v
-            gain = -int(deg_v[j]) + 2 * r * int(live_u - deg_v[j])
-            alive_v[j] = False
-            live_v -= 1
-            col = adj[:, j] & alive_u
-            deg_u = deg_u - col
-            deg_v[j] = 0
-            deleted.append(("V", j))
-        potential += gain
-        potentials.append(potential)
-
-    survivors_u = np.flatnonzero(alive_u)
-    survivors_v = np.flatnonzero(alive_v)
-    sub = (
-        adj[np.ix_(survivors_u, survivors_v)]
-        if survivors_u.size and survivors_v.size
-        else np.zeros((survivors_u.size, survivors_v.size), dtype=bool)
-    )
-    cleaned = BipartiteGraph(survivors_u.size, survivors_v.size, sub)
+    left, right, deleted, potentials, initial = clean_array(adj, r)
+    sub = adj[np.ix_(left, right)] if left and right else np.zeros((len(left), len(right)), dtype=bool)
     trace = CleaningTrace(
-        n_u=n_u,
-        n_v=n_v,
+        n_u=graph.n_u,
+        n_v=graph.n_v,
         r=r,
         initial_potential=initial,
         deleted=tuple(deleted),
         potentials=tuple(potentials),
     )
-    return cleaned, trace
-
-
-def _greedy_pick(adj: np.ndarray, r: int) -> tuple[list[int], np.ndarray] | None:
-    """Take the r lowest-index rows, drop their non-neighbors on the right,
-    and keep the r lowest-index survivors.  None when fewer than r survive."""
-    left = list(range(r))
-    keep = np.ones(adj.shape[1], dtype=bool)
-    for i in left:
-        keep &= adj[i]
-    survivors = np.flatnonzero(keep)
-    if survivors.size < r:
-        return None
-    return left, survivors[:r]
+    return BipartiteGraph(len(left), len(right), sub), trace
 
 
 def construct_biclique(cleaned: BipartiteGraph, r: int) -> Biclique:
@@ -151,19 +201,9 @@ def construct_biclique(cleaned: BipartiteGraph, r: int) -> Biclique:
     side, so at least half of it survives.  Raises
     ExtractionPreconditionError when the sizes make that argument impossible.
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError(f"size target r must be at least 1, got {r}")
-    if cleaned.n_u < r or cleaned.n_v < 2 * r:
-        raise ExtractionPreconditionError(
-            f"cleaned graph ({cleaned.n_u}, {cleaned.n_v}) is below the required ({r}, {2 * r})"
-        )
-    picked = _greedy_pick(cleaned.dense(), r)
-    if picked is None:
-        raise ExtractionPreconditionError(
-            "survivor deficit: the graph was not cleaned for this size target"
-        )
-    left, right = picked
+    r = _check_r(r)
+    rows = cleaned.dense().tolist()
+    left, right = _construct(rows, list(range(cleaned.n_u)), list(range(cleaned.n_v)), r)
     return Biclique.from_graph(cleaned, left, right)
 
 
@@ -173,33 +213,19 @@ def greedy_extract(graph: BipartiteGraph, r: int, n: int) -> Biclique | None:
 
     Outside that regime this is best effort and may return None.
     """
-    r = int(r)
+    r = _check_r(r)
     n = int(n)
-    if r < 1:
-        raise ValueError(f"size target r must be at least 1, got {r}")
     if n < max(graph.n_u, graph.n_v):
         raise ValueError(f"host bound n={n} is below the graph's sides ({graph.n_u}, {graph.n_v})")
-    edges = graph.num_edges
-    non_edges = graph.num_non_edges
-    guaranteed = edges - 2 * r * non_edges >= 2 * n * r
-    cleaned, trace = density_clean(graph, r)
-    if guaranteed:
-        # The potential argument forces both survivor sides to at least 2r here.
-        local = construct_biclique(cleaned, r)
-    else:
-        if cleaned.n_u < r or cleaned.n_v < r:
-            return None
-        picked = _greedy_pick(cleaned.dense(), r)
-        if picked is None:
-            return None
-        local = Biclique.from_graph(cleaned, picked[0], picked[1])
-    left_map = trace.surviving_left()
-    right_map = trace.surviving_right()
-    return Biclique.from_graph(
-        graph,
-        [left_map[i] for i in local.left],
-        [right_map[j] for j in local.right],
-    )
+    picked = extract_array(graph.dense(), r, n, graph.num_edges)
+    if picked is None:
+        return None
+    return Biclique.from_graph(graph, picked[0], picked[1])
+
+
+def extractable_r(edges: int, non_edges: int, n: int) -> int:
+    """best_extractable_r on counts already in hand: floor(F / (2Q + 2n))."""
+    return edges // (2 * non_edges + 2 * n)
 
 
 def best_extractable_r(graph: BipartiteGraph, n: int) -> int:
@@ -207,6 +233,4 @@ def best_extractable_r(graph: BipartiteGraph, n: int) -> int:
     n = int(n)
     if n < 1:
         raise ValueError("host bound n must be positive")
-    edges = graph.num_edges
-    non_edges = graph.num_non_edges
-    return edges // (2 * non_edges + 2 * n)
+    return extractable_r(graph.num_edges, graph.num_non_edges, n)

@@ -101,7 +101,8 @@ class PipelineConfig:
 class RunReport:
     """Everything one pipeline run decided and found.
 
-    ``timings`` is wall-clock seconds and deliberately excluded from
+    ``timings`` is wall-clock seconds per stage, plus ``per_k`` (the seconds
+    of each solved k, in k order), and deliberately excluded from
     serialization unless asked for, so reports are byte-stable across runs.
     """
 
@@ -202,17 +203,21 @@ def _degree_cap(graph: BipartiteGraph) -> int:
 
 
 class _KSearch:
-    """Feasibility tester that records one entry per solved k."""
+    """Feasibility tester that records one entry, and the wall-clock seconds
+    of its build and solve, per solved k."""
 
     def __init__(self, graph: BipartiteGraph, config: PipelineConfig):
         self.graph = graph
         self.config = config
         self.records: dict[int, dict] = {}
+        self.seconds: dict[int, float] = {}
         self.solutions: dict[int, FeasibilityOutcome] = {}
 
     def feasible(self, k: int) -> bool:
+        t0 = time.perf_counter()
         problem = build_strong_relaxation(self.graph, k)
         outcome = solve_feasibility(problem, self.config.solver)
+        self.seconds[k] = time.perf_counter() - t0
         self.records[k] = {
             "k": k,
             "status": outcome.status,
@@ -268,7 +273,7 @@ def approximate_mbb(
         "n_v": graph.n_v,
         "edges": graph.num_edges,
     }
-    timings: dict[str, float] = {}
+    timings: dict = {}
 
     t0 = time.perf_counter()
     degree_cap = _degree_cap(graph)
@@ -290,6 +295,7 @@ def approximate_mbb(
             k_star = _scan_descending(searcher, config.k_lo, k_hi)
         search_meta.update(per_k=searcher.per_k(), k_star=k_star)
         timings["search"] = time.perf_counter() - t0
+        timings["per_k"] = [{"k": k, "seconds": searcher.seconds[k]} for k in sorted(searcher.seconds)]
 
         if k_star is not None:
             t0 = time.perf_counter()

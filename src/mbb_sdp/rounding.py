@@ -16,10 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import best_extractable_r, greedy_extract
+from .extraction import extract_array, extractable_r
 from .gaussian import std_normal_pdf
-from .graphs import BipartiteGraph, Biclique, induced_counts, induced_subgraph
+from .graphs import BipartiteGraph, Biclique
 from .sdp import VectorSolution
+
+# The per-trial path no longer calls these, but they stay importable from this
+# module: bench/tracing.py wraps them here by name.
+from .extraction import best_extractable_r, greedy_extract  # noqa: F401
+from .graphs import induced_counts, induced_subgraph  # noqa: F401
 
 __all__ = [
     "ALPHA_DEFAULT",
@@ -130,11 +135,16 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class RoundingRun:
-    """All trial outcomes of one rounding run plus the best verified biclique."""
+    """All trial outcomes of one rounding run plus the best verified biclique.
+
+    ``distinct_sets`` counts the distinct survivor masks among the trials,
+    which is how many times scoring and extraction ran.
+    """
 
     best: Biclique | None
     outcomes: tuple[TrialOutcome, ...]
     params: RoundingParams
+    distinct_sets: int
 
     @property
     def event_count(self) -> int:
@@ -270,48 +280,42 @@ def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     return _Prepared(left, right, unit, dropped, r_target)
 
 
-def _run_trial(
-    prepared: _Prepared,
-    graph: BipartiteGraph,
-    params: RoundingParams,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    n_host = max(graph.n_u, graph.n_v)
+def _draw(prepared: _Prepared, params: RoundingParams, rng: np.random.Generator) -> np.ndarray:
+    """One trial's survivor mask over the members, left then right."""
     if prepared.unit_vectors.shape[0]:
-        mask = gaussian_threshold(prepared.unit_vectors, params.tau, rng)
-    else:
-        mask = np.zeros(0, dtype=bool)
+        return gaussian_threshold(prepared.unit_vectors, params.tau, rng)
+    return np.zeros(0, dtype=bool)
+
+
+def _evaluate(prepared: _Prepared, graph: BipartiteGraph, mask: np.ndarray) -> TrialOutcome:
+    """Score and extract on one survivor mask.  The outcome depends on the
+    mask alone; the biclique is certified once, against ``graph``."""
     n_left = prepared.left_members.size
     left_s = prepared.left_members[mask[:n_left]]
     right_s = prepared.right_members[mask[n_left:]]
-    edges, non_edges = induced_counts(graph, left_s, right_s)
-    potential = edges - 2 * prepared.r_target * non_edges
-    event = potential >= 2 * n_host * prepared.r_target
+    edges = non_edges = 0
     biclique: Biclique | None = None
     if left_s.size and right_s.size:
-        sub, left_map, right_map = induced_subgraph(graph, left_s, right_s)
-        n_local = max(sub.n_u, sub.n_v)
-        r_hi = min(
-            min(sub.n_u, sub.n_v),
-            max(prepared.r_target, best_extractable_r(sub, n_local)),
-        )
+        sub = graph.dense()[np.ix_(left_s, right_s)]
+        edges = int(np.count_nonzero(sub))
+        non_edges = sub.size - edges
+        n_local = max(sub.shape)
+        r_hi = min(min(sub.shape), max(prepared.r_target, extractable_r(edges, non_edges, n_local)))
         for r in range(r_hi, 0, -1):
-            local = greedy_extract(sub, r, n_local)
-            if local is not None:
-                biclique = Biclique.from_graph(
-                    graph,
-                    [int(left_map[i]) for i in local.left],
-                    [int(right_map[j]) for j in local.right],
-                )
+            picked = extract_array(sub, r, n_local, edges)
+            if picked is not None:
+                biclique = Biclique.from_graph(graph, left_s[picked[0]], right_s[picked[1]])
                 break
+    potential = edges - 2 * prepared.r_target * non_edges
+    n_host = max(graph.n_u, graph.n_v)
     return TrialOutcome(
-        left_survivors=tuple(int(i) for i in left_s),
-        right_survivors=tuple(int(j) for j in right_s),
+        left_survivors=tuple(left_s.tolist()),
+        right_survivors=tuple(right_s.tolist()),
         edges=edges,
         non_edges=non_edges,
         r_target=prepared.r_target,
         potential=potential,
-        event_held=bool(event),
+        event_held=potential >= 2 * n_host * prepared.r_target,
         biclique=biclique,
         dropped_members=prepared.dropped,
     )
@@ -329,7 +333,7 @@ def round_once(
     prepared = _prepare(solution, params)
     if rng is None:
         rng = np.random.default_rng((params.seed, 0))
-    return _run_trial(prepared, graph, params, rng)
+    return _evaluate(prepared, graph, _draw(prepared, params, rng))
 
 
 def round_many(
@@ -337,20 +341,27 @@ def round_many(
 ) -> RoundingRun:
     """Run params.trials independent trials and keep the largest verified biclique.
 
-    Trial t draws from default_rng((seed, t)), so any execution order, or a
-    parallel split, produces the same outcome set; ties on size keep the
-    earliest trial.
+    Trial t draws from default_rng((seed, t)) with its own Gaussian product,
+    so any execution order, or a parallel split, produces the same outcome
+    set; ties on size keep the earliest trial.  An outcome depends only on
+    the trial's survivor mask, so scoring and extraction run once per
+    distinct mask and repeats reuse that outcome.
     """
     _check_match(solution, graph)
     prepared = _prepare(solution, params)
+    memo: dict[bytes, TrialOutcome] = {}
     outcomes = []
     best: Biclique | None = None
     for trial in range(params.trials):
-        outcome = _run_trial(prepared, graph, params, np.random.default_rng((params.seed, trial)))
+        mask = _draw(prepared, params, np.random.default_rng((params.seed, trial)))
+        key = mask.tobytes()
+        outcome = memo.get(key)
+        if outcome is None:
+            outcome = memo[key] = _evaluate(prepared, graph, mask)
         outcomes.append(outcome)
         if outcome.biclique is not None and (best is None or outcome.biclique.size > best.size):
             best = outcome.biclique
-    return RoundingRun(best=best, outcomes=tuple(outcomes), params=params)
+    return RoundingRun(best=best, outcomes=tuple(outcomes), params=params, distinct_sets=len(memo))
 
 
 def _check_match(solution: VectorSolution, graph: BipartiteGraph) -> None:

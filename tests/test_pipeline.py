@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -197,6 +198,9 @@ def test_report_serialization_schema():
     assert "timings" not in payload
     timed = report.to_dict(include_timings=True)
     assert "search" in timed["timings"] and "total" in timed["timings"]
+    per_k = timed["timings"]["per_k"]
+    assert [row["k"] for row in per_k] == [rec["k"] for rec in payload["search"]["per_k"]]
+    assert all(0.0 <= row["seconds"] <= timed["timings"]["search"] for row in per_k)
     assert payload["instance"] == {"n_u": 8, "n_v": 8, "edges": g.num_edges}
     assert payload["config"]["seed"] == 0
     assert payload["best"]["method"] in ("sdp-rounding", "baseline", "exact")
@@ -386,3 +390,14 @@ def test_write_text_atomic_keeps_old_file_on_failure(tmp_path):
         pipeline_module.write_text_atomic(target, "new \ud800\n")
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_default_report_bytes_pinned():
+    # conftest's (16, 4, 0.2) instance under the default config; digest
+    # recorded before rounding moved onto the array core and the per-mask memo
+    g, _ = planted_instance(16, 4, 0.2, seed=1016)
+    _, report = approximate_mbb(g, PipelineConfig())
+    text = report.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "00fb231bae6e3a21c493d76cc6370a155fddca64c6af95486eb214e65be13f86"
+    )

@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from mbb_sdp import rounding as rounding_module
 from mbb_sdp import (
     ALPHA_DEFAULT,
     RoundingParams,
@@ -290,3 +294,76 @@ def test_rounding_solved_instance_end_to_end(solved_planted):
     assert diag.pair_mass_ok
     assert diag.positive_pairs_ok
     assert diag.positive_pairs_within_edges
+
+
+def _run_digest(run):
+    """sha256 of a run's best biclique and every trial outcome, serialized."""
+    text = json.dumps(
+        {
+            "best": None if run.best is None else dataclasses.asdict(run.best),
+            "outcomes": [dataclasses.asdict(o) for o in run.outcomes],
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _memo_cases(solved_planted):
+    # p = 0 indicator: every trial keeps all planted members or none, so
+    # masks repeat; (8, 2, 0.2) solved: most of its 64 masks are distinct;
+    # (16, 4, 0.2) solved: a second repeated-mask case off a real solution.
+    graph, planted = planted_instance(8, 2, 0.0, seed=3)
+    sol = indicator_solution(8, planted.biclique.left, planted.biclique.right)
+    yield graph, sol, RoundingParams.for_instance(8, 2, trials=64, seed=0)
+    for n, p in ((8, 0.2), (16, 0.2)):
+        case = next(c for c in solved_planted if (c.n, c.p) == (n, p))
+        sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+        yield case.graph, sol, RoundingParams.for_instance(case.n, case.k, trials=64, seed=3)
+
+
+def test_round_many_memo_matches_round_once_per_trial(solved_planted, monkeypatch):
+    calls = []
+    core = rounding_module.extract_array
+
+    def counting(adj, r, n, edges):
+        calls.append(r)
+        return core(adj, r, n, edges)
+
+    monkeypatch.setattr(rounding_module, "extract_array", counting)
+    distinct_counts = []
+    for graph, sol, params in _memo_cases(solved_planted):
+        calls.clear()
+        run = round_many(sol, graph, params)
+        extraction_calls = len(calls)
+        for t, outcome in enumerate(run.outcomes):
+            single = round_once(sol, graph, params, rng=np.random.default_rng((params.seed, t)))
+            assert outcome == single
+        masks = {(o.left_survivors, o.right_survivors) for o in run.outcomes}
+        assert run.distinct_sets == len(masks)
+        distinct_counts.append(len(masks))
+        # extraction runs once per distinct mask with both sides nonempty,
+        # trying each r from r_hi down at most once
+        bound = 0
+        for left, right in masks:
+            if left and right:
+                rep = next(o for o in run.outcomes if (o.left_survivors, o.right_survivors) == (left, right))
+                n_local = max(len(left), len(right))
+                r_best = rep.edges // (2 * rep.non_edges + 2 * n_local)
+                bound += min(len(left), len(right), max(rep.r_target, r_best))
+        assert extraction_calls <= bound
+        assert run.extraction_count >= 1
+    assert distinct_counts[0] <= 2 < 32 <= distinct_counts[1]
+
+
+def test_round_many_bytes_pinned(solved_planted):
+    # digests recorded before extraction moved onto the array core and the
+    # per-mask memo; the outcomes must not change by a byte
+    case = next(c for c in solved_planted if (c.n, c.k, c.p) == (32, 8, 0.2))
+    sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+    run = round_many(sol, case.graph, RoundingParams.for_instance(case.n, case.k, trials=2000))
+    assert _run_digest(run) == "3e489b4352a6c6d5619eb759011c6ff15de3084aa1d9b973a8d722735a254ebd"
+    case = next(c for c in solved_planted if (c.n, c.k, c.p) == (8, 2, 0.2))
+    sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+    run = round_many(sol, case.graph, RoundingParams.for_instance(case.n, case.k))
+    assert run.distinct_sets == 209
+    assert _run_digest(run) == "8ee84845339d3e9926abfefade0f2fbcbd2439fa775293ca98059ada94f1d39d"
