@@ -20,6 +20,7 @@ __all__ = [
     "verify_biclique",
     "induced_counts",
     "induced_subgraph",
+    "kk_cores",
     "parse_graph",
     "serialize_graph",
 ]
@@ -275,6 +276,34 @@ def induced_subgraph(
     ids_left = tuple(int(i) for i in s)
     ids_right = tuple(int(j) for j in t)
     return BipartiteGraph(s.size, t.size, sub), ids_left, ids_right
+
+
+def kk_cores(graph: BipartiteGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The graph's nonempty (k,k)-cores for k = 1, 2, ...: entry k - 1 holds
+    the sorted U- and V-indices of the (k,k)-core.
+
+    The (k,k)-core is what is left after repeatedly deleting every vertex
+    with fewer than k neighbours on the other side.  Every balanced
+    k-biclique lies inside it, and a nonempty one has at least k vertices on
+    each side.  Cores are nested in k, so each is peeled from the one before
+    and the list stops at the first empty core: its length is the core cap,
+    the largest k at which a k-biclique can exist.
+    """
+    adj = graph.dense().astype(np.int64)
+    left = np.ones(graph.n_u, dtype=bool)
+    right = np.ones(graph.n_v, dtype=bool)
+    cores = []
+    for k in range(1, min(graph.n_u, graph.n_v) + 1):
+        while True:
+            kept_left = left & (adj @ right >= k)
+            kept_right = right & (kept_left @ adj >= k)
+            if np.array_equal(kept_left, left) and np.array_equal(kept_right, right):
+                break
+            left, right = kept_left, kept_right
+        if not left.any():
+            break
+        cores.append((np.flatnonzero(left), np.flatnonzero(right)))
+    return cores
 
 
 def parse_graph(text: str) -> BipartiteGraph:

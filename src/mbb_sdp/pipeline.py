@@ -3,11 +3,12 @@
 The pipeline searches for the largest target size k at which the strong
 relaxation is feasible, rounds the solution at that k, runs a combinatorial
 greedy baseline, and returns the largest verified biclique found.  The top
-of the search range is the smaller side, clamped once to the degree cap (the
-largest k the degree sequences allow the relaxation).  Because the
-relaxation's mass rows are equalities, feasibility is not a priori monotone
-in k, so the search is a descending scan one k at a time: its first feasible
-k is the largest feasible k in range, and no k below it is solved.
+of the search range is the core cap, the largest k with a nonempty (k,k)-core
+(no balanced biclique is larger).  Because the relaxation's mass rows are
+equalities, feasibility is not a priori monotone in k, so the search is a
+descending scan one k at a time: its first feasible k is the largest feasible
+k in range, and no k below it is solved.  Each k is solved first on its
+(k,k)-core, and on the whole graph when the core does not give a certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from .graphs import (
     Biclique,
     complete_bipartite,
     empty_bipartite,
+    induced_subgraph,
+    kk_cores,
     parse_graph,
     planted_instance,
     verify_biclique,
@@ -37,8 +40,10 @@ from .graphs import (
 from .rounding import RoundingParams, RoundingRun, diagnostics, round_many
 from .sdp import (
     FeasibilityOutcome,
+    GramMatrix,
     SolverConfig,
     build_strong_relaxation,
+    check_feasibility,
     gram_to_vectors,
     solve_feasibility,
 )
@@ -183,46 +188,70 @@ def _lowest_edge(graph: BipartiteGraph) -> Biclique:
     return Biclique.from_graph(graph, [i], [j])
 
 
-def _degree_cap(graph: BipartiteGraph) -> int:
-    """Largest k the degree sequences allow the strong relaxation.
-
-    The degree and mass rows force every vertex mass to satisfy
-    c_i <= min(1, (deg_i / k)^2), so a feasible k obeys
-    k <= sum_side min(1, (deg/k)^2) on both sides.  Indicator solutions sit
-    exactly on this bound, so no feasible k is ever pruned.
-    """
-    left = graph.degrees_left().astype(float)
-    right = graph.degrees_right().astype(float)
-    cap = 0
-    for k in range(1, min(graph.n_u, graph.n_v) + 1):
-        left_total = np.minimum(1.0, (left / k) ** 2).sum()
-        right_total = np.minimum(1.0, (right / k) ** 2).sum()
-        if k <= min(left_total, right_total):
-            cap = k
-    return cap
+def _pad_gram(gram: GramMatrix, graph: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> GramMatrix:
+    """Embed a Gram matrix over an induced subgraph (anchor, then ``left``,
+    then ``right``) into ``graph``'s index space, with zeros for every vertex
+    outside the subgraph."""
+    index = np.concatenate([[0], 1 + left, 1 + graph.n_u + right])
+    padded = np.zeros((1 + graph.n_u + graph.n_v,) * 2)
+    padded[np.ix_(index, index)] = gram.entries
+    return GramMatrix(padded)
 
 
 class _KSearch:
     """Feasibility tester that records one entry, and the wall-clock seconds
-    of its build and solve, per solved k."""
+    of its builds and solves, per solved k.
 
-    def __init__(self, graph: BipartiteGraph, config: PipelineConfig):
+    Each k is solved first on the graph's (k,k)-core.  A feasible core Gram
+    is padded with zeros: a removed vertex then reads 0 = 0 on its norm-link
+    and degree rows, and a kept vertex's rows lose only zero terms.  The
+    padded Gram is accepted only when it passes ``check_feasibility`` on the
+    whole graph's strong relaxation.  Any other core outcome, or a core that
+    is the whole graph, solves the whole graph, so every k the whole-graph
+    solve calls feasible is still called feasible.
+    """
+
+    def __init__(
+        self, graph: BipartiteGraph, config: PipelineConfig, cores: list[tuple[np.ndarray, np.ndarray]]
+    ):
         self.graph = graph
         self.config = config
+        self.cores = cores
         self.records: dict[int, dict] = {}
         self.seconds: dict[int, float] = {}
         self.solutions: dict[int, FeasibilityOutcome] = {}
 
+    def _solve_core(self, k: int, left: np.ndarray, right: np.ndarray) -> FeasibilityOutcome | None:
+        """The core's outcome with its Gram padded to the whole graph, or None
+        unless the core is feasible and the padded Gram passes the check."""
+        core, _, _ = induced_subgraph(self.graph, left, right)
+        outcome = solve_feasibility(build_strong_relaxation(core, k), self.config.solver)
+        if not outcome.feasible:
+            return None
+        padded = _pad_gram(outcome.gram, self.graph, left, right)
+        check = check_feasibility(build_strong_relaxation(self.graph, k), padded, self.config.solver.eps_feas)
+        if not check.passed:
+            return None
+        return replace(outcome, gram=padded, max_violation=check.max_violation)
+
     def feasible(self, k: int) -> bool:
         t0 = time.perf_counter()
-        problem = build_strong_relaxation(self.graph, k)
-        outcome = solve_feasibility(problem, self.config.solver)
+        left, right = self.cores[k - 1]
+        outcome = None
+        if left.size < self.graph.n_u or right.size < self.graph.n_v:
+            outcome = self._solve_core(k, left, right)
+        solved_on = "core"
+        if outcome is None:
+            solved_on = "graph"
+            outcome = solve_feasibility(build_strong_relaxation(self.graph, k), self.config.solver)
         self.seconds[k] = time.perf_counter() - t0
         self.records[k] = {
             "k": k,
             "status": outcome.status,
             "max_violation": outcome.max_violation,
             "iterations": outcome.iterations,
+            "core": [int(left.size), int(right.size)],
+            "solved_on": solved_on,
         }
         if outcome.feasible:
             self.solutions[k] = outcome
@@ -276,10 +305,10 @@ def approximate_mbb(
     timings: dict = {}
 
     t0 = time.perf_counter()
-    degree_cap = _degree_cap(graph)
+    cores = kk_cores(graph)
     # A scan's first feasible k is the largest, so it meets no non-monotone
     # anomaly; the key stays in the report's schema, always empty.
-    search_meta: dict = {"per_k": [], "k_star": None, "anomalies": [], "degree_cap": degree_cap}
+    search_meta: dict = {"per_k": [], "k_star": None, "anomalies": [], "core_cap": len(cores)}
     rounding_dict = None
     diag_dict = None
     candidates: list[tuple[str, Biclique]] = []
@@ -287,10 +316,10 @@ def approximate_mbb(
     k_star = None
     run: RoundingRun | None = None
     if graph.num_edges > 0:
-        k_hi = degree_cap  # at most the smaller side, and no k above it is feasible
+        k_hi = len(cores)  # no balanced biclique is larger than the core cap
         if config.k_hi is not None:
             k_hi = min(k_hi, config.k_hi)
-        searcher = _KSearch(graph, config)
+        searcher = _KSearch(graph, config, cores)
         if config.k_lo <= k_hi:
             k_star = _scan_descending(searcher, config.k_lo, k_hi)
         search_meta.update(per_k=searcher.per_k(), k_star=k_star)

@@ -5,18 +5,26 @@ import json
 import numpy as np
 import pytest
 
+from conftest import PLANTED_CASES
+
 from mbb_sdp import (
+    FEASIBLE,
     PipelineConfig,
     SolverConfig,
     approximate_mbb,
+    build_strong_relaxation,
+    check_feasibility,
     complete_bipartite,
     empty_bipartite,
     exact_mbb,
     greedy_baseline,
+    induced_subgraph,
+    kk_cores,
     new_bipartite,
     planted_instance,
     run_experiment,
     serialize_graph,
+    solve_feasibility,
     verify_biclique,
 )
 from mbb_sdp import pipeline as pipeline_module
@@ -61,16 +69,20 @@ def test_baseline_never_beats_exact():
             assert found.size >= 1
 
 
-def test_degree_cap_bounds():
-    assert pipeline_module._degree_cap(complete_bipartite(6, 6)) == 6
-    assert pipeline_module._degree_cap(new_bipartite(5, 5, [(0, 0)])) == 1
-    # the cap never prunes a k whose indicator certificate is feasible
+def core_cap(graph):
+    return len(kk_cores(graph))
+
+
+def test_core_cap_bounds():
+    assert core_cap(complete_bipartite(6, 6)) == 6
+    assert core_cap(new_bipartite(5, 5, [(0, 0)])) == 1
+    # the cap never prunes the planted size: that biclique survives every peel
     for seed in range(8):
         g, planted = planted_instance(12, 3, 0.15, seed=seed)
-        assert pipeline_module._degree_cap(g) >= planted.biclique.size
+        assert core_cap(g) >= planted.biclique.size
     # a pure planted block pins the cap exactly
     g, _ = planted_instance(10, 3, 0.0, seed=1)
-    assert pipeline_module._degree_cap(g) == 3
+    assert core_cap(g) == 3
 
 
 class _FakeVerdicts:
@@ -99,7 +111,7 @@ def _check_scan(feasible_ks, k_lo, k_hi):
 @pytest.mark.parametrize(
     "feasible_ks, k_lo, k_hi",
     [
-        ({4, 10}, 1, 12),  # search-sparse's n = 40 graph below its degree cap
+        ({4, 10}, 1, 12),  # a top two steps above the largest feasible k
         ({4, 10}, 1, 40),  # the same verdicts scanned from the side size
     ],
 )
@@ -114,6 +126,37 @@ def test_scan_descending_on_every_small_verdict_set():
         for k_lo in ks:
             for k_hi in range(k_lo, ks[-1] + 1):
                 _check_scan(feasible_ks, k_lo, k_hi)
+
+
+def test_core_solves_are_certified_on_the_whole_graph():
+    # conftest's planted instances, plus a dense graph whose cores above k*
+    # are nonempty and come back infeasible
+    graphs = [planted_instance(n, k, p, seed=1000 + n)[0] for n, k, p in PLANTED_CASES]
+    graphs.append(planted_instance(20, 4, 0.4, seed=0)[0])
+    config = PipelineConfig()
+    fallbacks = 0
+    for g in graphs:
+        cores = kk_cores(g)
+        searcher = pipeline_module._KSearch(g, config, cores)
+        assert pipeline_module._scan_descending(searcher, 1, len(cores)) is not None
+        for rec in searcher.per_k():
+            k = rec["k"]
+            left, right = cores[k - 1]
+            assert rec["core"] == [left.size, right.size]
+            whole = build_strong_relaxation(g, k)
+            if rec["status"] == FEASIBLE:
+                gram = searcher.solutions[k].gram
+                assert check_feasibility(whole, gram, config.solver.eps_feas).passed
+            core, _, _ = induced_subgraph(g, left, right)
+            proper = core.n_u + core.n_v < g.n_u + g.n_v
+            core_status = solve_feasibility(build_strong_relaxation(core, k), config.solver).status
+            if proper and core_status == FEASIBLE:
+                assert rec["solved_on"] == "core" and rec["status"] == FEASIBLE
+            else:
+                assert rec["solved_on"] == "graph"
+                assert rec["status"] == solve_feasibility(whole, config.solver).status
+                fallbacks += proper
+    assert fallbacks == 2  # k = 5 and 6 on (20, 4, 0.4)
 
 
 def test_config_validation():
@@ -131,8 +174,8 @@ def test_pipeline_on_pure_planted_block():
     assert report.search["k_star"] == 2
     assert report.search["anomalies"] == []
     assert report.exact["size"] == 2
-    # the degree cap pins the search's top to the planted size: nothing above it is solved
-    assert report.search["degree_cap"] == 2
+    # the core cap pins the search's top to the planted size: nothing above it is solved
+    assert report.search["core_cap"] == 2
     assert all(rec["k"] <= 2 for rec in report.search["per_k"])
     assert report.rounding is not None
     assert report.diagnostics is not None
@@ -394,10 +437,13 @@ def test_write_text_atomic_keeps_old_file_on_failure(tmp_path):
 
 def test_default_report_bytes_pinned():
     # conftest's (16, 4, 0.2) instance under the default config; digest
-    # recorded before rounding moved onto the array core and the per-mask memo
+    # recorded when the k-scan moved onto (k,k)-cores, which changed per_k
+    # and the rounded Gram but neither k* nor the best biclique
     g, _ = planted_instance(16, 4, 0.2, seed=1016)
     _, report = approximate_mbb(g, PipelineConfig())
+    assert report.search["k_star"] == 4
+    assert report.best == {"method": "baseline", "size": 4, "left": [3, 7, 8, 13], "right": [3, 4, 6, 7]}
     text = report.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "00fb231bae6e3a21c493d76cc6370a155fddca64c6af95486eb214e65be13f86"
+        "e4e861b1184565b4608cfcca993b4ebc46f7ab98d2b46e234d17038f1e0cc13b"
     )
