@@ -150,7 +150,7 @@ def _cmd_round(args) -> int:
         n, args.k, trials=args.trials, seed=args.seed, tau=args.tau
     )
     run = round_many(solution, graph, params)
-    diag = diagnostics(solution, graph, params.ratio, tau=params.tau)
+    diag = diagnostics(solution, graph, params.ratio, tau=args.tau)
     payload = {
         "k": args.k,
         "trials": params.trials,

@@ -6,11 +6,19 @@ counts edges and Q non-edges.  Deleting a vertex whose edge degree is at most
 remains a balanced biclique of order r can be read off greedily whenever the
 survivors are large enough.  When W >= 2 n r for a host-side bound n, they
 always are.
+
+Cleaning and picking run in one kernel on Python-int bitsets: each row and
+column of the adjacency is one int, a live degree is one AND and a
+bit_count, and the pick ANDs the chosen rows.  The kernel takes any
+ascending subset of rows and columns and answers in the bitsets' own
+indices, so rounding cleans a survivor set in host indices without slicing;
+the array and graph entry points convert to bitsets and call the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +31,9 @@ __all__ = [
     "construct_biclique",
     "greedy_extract",
     "best_extractable_r",
+    "bitsets",
+    "clean_bits",
+    "extract_bits",
     "clean_array",
     "extract_array",
     "extractable_r",
@@ -58,77 +69,98 @@ class CleaningTrace:
         return tuple(j for j in range(self.n_v) if j not in gone)
 
 
-def clean_array(
-    adj: np.ndarray, r: int
-) -> tuple[list[int], list[int], list[tuple[str, int]], list[int], int]:
-    """Cleaning core on a boolean adjacency array; no validation.
+def bitsets(adj: np.ndarray) -> tuple[list[int], list[int]]:
+    """Row and column bitsets of a boolean adjacency array: bit j of
+    ``rows[i]`` and bit i of ``cols[j]`` are set iff ``adj[i, j]``."""
+    adj = np.asarray(adj, dtype=bool)
+    return _row_bits(adj), _row_bits(adj.T)
 
-    Returns (left survivors, right survivors, deletions, potentials after
-    each deletion, initial potential), indices being rows and columns of
-    ``adj``.  The deletion order is density_clean's: the lowest bad U vertex,
-    else the lowest bad V vertex.  Deleting a U vertex changes no other U
-    vertex's test (its degree and the live V count stay put), so every U
-    vertex bad at one scan is deleted in index order before V is scanned.
+
+def _row_bits(adj: np.ndarray) -> list[int]:
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _mask(indices) -> int:
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+def clean_bits(
+    rows: list[int], cols: list[int], left, right, r: int
+) -> tuple[list[int], list[int], list[tuple[str, int]], list[int]]:
+    """The cleaning loop, on the bitsets of ``bitsets`` restricted to the
+    live rows ``left`` and columns ``right`` (ascending); no validation.
+
+    Returns (left survivors, right survivors, deletions, the potential's gain
+    at each deletion), in the bitsets' own indices.  The deletion order is
+    density_clean's: the lowest bad U vertex, else the lowest bad V vertex.
+    Deleting a U vertex changes no other U vertex's test (its degree and the
+    live V count stay put), so every U vertex bad at one scan is deleted in
+    index order before V is scanned.
     """
-    n_u, n_v = adj.shape
-    rows = adj.tolist()
-    deg_u = adj.sum(axis=1).tolist()
-    deg_v = adj.sum(axis=0).tolist()
-    left = list(range(n_u))
-    right = list(range(n_v))
+    left = list(left)
+    right = list(right)
+    live_l = _mask(left)
+    live_r = _mask(right)
     two_r = 2 * r
-    edges = sum(deg_u)
-    potential = edges - two_r * (n_u * n_v - edges)
-    initial = potential
+    weight = 1 + two_r
     deleted: list[tuple[str, int]] = []
-    potentials: list[int] = []
+    gains: list[int] = []
     while True:
-        # deg <= 2r (live - deg), written as deg (1 + 2r) <= 2r live
-        live_v = len(right)
-        bad = [i for i in left if deg_u[i] * (1 + two_r) <= two_r * live_v]
-        if bad:
-            for i in bad:
-                potential += two_r * (live_v - deg_u[i]) - deg_u[i]
-                row = rows[i]
-                for j in right:
-                    if row[j]:
-                        deg_v[j] -= 1
-                deleted.append(("U", i))
-                potentials.append(potential)
-            gone = set(bad)
-            left = [i for i in left if i not in gone]
-        live_u = len(left)
-        j = next((j for j in right if deg_v[j] * (1 + two_r) <= two_r * live_u), None)
-        if j is None:
-            break
-        potential += two_r * (live_u - deg_v[j]) - deg_v[j]
+        # deg <= 2r (live - deg), written as deg (1 + 2r) <= 2r live; the
+        # slack 2r (live - deg) - deg is what the deletion adds to W
+        bound = two_r * len(right)
+        kept = []
         for i in left:
-            if rows[i][j]:
-                deg_u[i] -= 1
+            slack = bound - (rows[i] & live_r).bit_count() * weight
+            if slack >= 0:
+                live_l ^= 1 << i
+                deleted.append(("U", i))
+                gains.append(slack)
+            else:
+                kept.append(i)
+        left = kept
+        bound = two_r * len(left)
+        for j in right:
+            slack = bound - (cols[j] & live_l).bit_count() * weight
+            if slack >= 0:
+                break
+        else:
+            break
+        live_r ^= 1 << j
         right.remove(j)
         deleted.append(("V", j))
-        potentials.append(potential)
-    return left, right, deleted, potentials, initial
+        gains.append(slack)
+    return left, right, deleted, gains
 
 
 def _greedy_pick(
-    rows: list[list[bool]], left: list[int], right: list[int], r: int
+    rows: list[int], left: list[int], right: list[int], r: int
 ) -> tuple[list[int], list[int]] | None:
-    """Take the r lowest-index live rows, drop their non-neighbors among the
-    live columns, and keep the r lowest-index survivors.  None when fewer
+    """Take the r lowest-index live rows, AND their bitsets over the live
+    columns, and keep the r lowest-index common columns.  None when fewer
     than r survive."""
-    chosen = [rows[i] for i in left[:r]]
-    common = [j for j in right if all(row[j] for row in chosen)]
-    if len(common) < r:
+    common = _mask(right)
+    for i in left[:r]:
+        common &= rows[i]
+    if common.bit_count() < r:
         return None
-    return left[:r], common[:r]
+    picked = []
+    for _ in range(r):
+        low = common & -common
+        picked.append(low.bit_length() - 1)
+        common ^= low
+    return left[:r], picked
 
 
 def _construct(
-    rows: list[list[bool]], left: list[int], right: list[int], r: int
+    rows: list[int], left: list[int], right: list[int], r: int
 ) -> tuple[list[int], list[int]]:
     """construct_biclique's size check and pick on the live rows and columns
-    of a cleaned adjacency; raises ExtractionPreconditionError."""
+    of a cleaned graph; raises ExtractionPreconditionError."""
     if len(left) < r or len(right) < 2 * r:
         raise ExtractionPreconditionError(
             f"cleaned graph ({len(left)}, {len(right)}) is below the required ({r}, {2 * r})"
@@ -141,26 +173,50 @@ def _construct(
     return picked
 
 
-def extract_array(
-    adj: np.ndarray, r: int, n: int, edges: int
+def extract_bits(
+    rows: list[int], cols: list[int], left, right, r: int, n: int, edges: int
 ) -> tuple[list[int], list[int]] | None:
-    """Extraction core on a boolean adjacency array with ``edges`` edges; no
-    validation.
+    """Extraction kernel on the subgraph of live rows ``left`` and columns
+    ``right`` (ascending), which has ``edges`` edges; no validation.
 
     Cleans at size target r, then picks; returns the biclique's rows and
-    columns of ``adj``, uncertified, or None.  When F - 2 r Q >= 2 n r the
-    pick is guaranteed, and a failure raises ExtractionPreconditionError.
+    columns in the bitsets' own indices, uncertified, or None.  When
+    F - 2 r Q >= 2 n r the pick is guaranteed, and a failure raises
+    ExtractionPreconditionError.
     """
-    n_u, n_v = adj.shape
-    guaranteed = edges - 2 * r * (n_u * n_v - edges) >= 2 * n * r
-    left, right, _, _, _ = clean_array(adj, r)
-    rows = adj.tolist()
+    guaranteed = edges - 2 * r * (len(left) * len(right) - edges) >= 2 * n * r
+    left, right, _, _ = clean_bits(rows, cols, left, right, r)
     if guaranteed:
         # The potential argument forces both survivor sides to at least 2r here.
         return _construct(rows, left, right, r)
     if len(left) < r or len(right) < r:
         return None
     return _greedy_pick(rows, left, right, r)
+
+
+def clean_array(
+    adj: np.ndarray, r: int
+) -> tuple[list[int], list[int], list[tuple[str, int]], list[int], int]:
+    """Cleaning on a whole boolean adjacency array; no validation.
+
+    Returns (left survivors, right survivors, deletions, potentials after
+    each deletion, initial potential), indices being rows and columns of
+    ``adj``; clean_bits does the work.
+    """
+    rows, cols = bitsets(adj)
+    left, right, deleted, gains = clean_bits(rows, cols, range(len(rows)), range(len(cols)), r)
+    edges = int(np.count_nonzero(adj))
+    initial = edges - 2 * r * (adj.size - edges)
+    return left, right, deleted, list(accumulate(gains, initial=initial))[1:], initial
+
+
+def extract_array(
+    adj: np.ndarray, r: int, n: int, edges: int
+) -> tuple[list[int], list[int]] | None:
+    """extract_bits on a whole boolean adjacency array with ``edges`` edges;
+    indices are rows and columns of ``adj``."""
+    rows, cols = bitsets(adj)
+    return extract_bits(rows, cols, range(len(rows)), range(len(cols)), r, n, edges)
 
 
 def _check_r(r) -> int:
@@ -202,7 +258,7 @@ def construct_biclique(cleaned: BipartiteGraph, r: int) -> Biclique:
     ExtractionPreconditionError when the sizes make that argument impossible.
     """
     r = _check_r(r)
-    rows = cleaned.dense().tolist()
+    rows, _ = bitsets(cleaned.dense())
     left, right = _construct(rows, list(range(cleaned.n_u)), list(range(cleaned.n_v)), r)
     return Biclique.from_graph(cleaned, left, right)
 

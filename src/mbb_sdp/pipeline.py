@@ -346,7 +346,7 @@ def approximate_mbb(
                 "best": run.best.as_dict() if run.best else None,
             }
             diag = diagnostics(
-                solution, graph, params.ratio, tau=params.tau, feas_tol=config.solver.eps_feas
+                solution, graph, params.ratio, tau=config.tau, feas_tol=config.solver.eps_feas
             )
             diag_dict = {
                 "k": diag.k,

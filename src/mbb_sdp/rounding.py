@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .extraction import extract_array, extractable_r
+from .extraction import bitsets, extract_bits, extractable_r
 from .gaussian import std_normal_pdf
 from .graphs import BipartiteGraph, Biclique
 from .sdp import VectorSolution
@@ -58,6 +59,14 @@ def default_tau(n: int) -> tuple[float, bool]:
     if raw < TAU_FLOOR:
         return TAU_FLOOR, True
     return raw, False
+
+
+def _resolve_tau(n: int, tau: float | None) -> tuple[float, bool]:
+    """(tau, clamped) for a run on n: the default when tau is None, else the
+    given tau, which is never clamped."""
+    if tau is None:
+        return default_tau(n)
+    return float(tau), False
 
 
 def default_trials(n: int) -> int:
@@ -102,13 +111,10 @@ class RoundingParams:
         if k <= 0 or k > n:
             raise ValueError(f"target size k={k} must lie in (0, n={n}]")
         ratio = n / k
-        if tau is None:
-            tau, clamped = default_tau(n)
-        else:
-            clamped = False
+        tau, clamped = _resolve_tau(n, tau)
         return cls(
             ratio=ratio,
-            tau=float(tau),
+            tau=tau,
             trials=default_trials(n) if trials is None else int(trials),
             heavy_threshold=1.0 / (8.0 * ratio),
             alpha=float(alpha),
@@ -287,38 +293,68 @@ def _draw(prepared: _Prepared, params: RoundingParams, rng: np.random.Generator)
     return np.zeros(0, dtype=bool)
 
 
-def _evaluate(prepared: _Prepared, graph: BipartiteGraph, mask: np.ndarray) -> TrialOutcome:
-    """Score and extract on one survivor mask.  The outcome depends on the
-    mask alone; the biclique is certified once, against ``graph``."""
-    n_left = prepared.left_members.size
-    left_s = prepared.left_members[mask[:n_left]]
-    right_s = prepared.right_members[mask[n_left:]]
-    edges = non_edges = 0
-    biclique: Biclique | None = None
-    if left_s.size and right_s.size:
-        sub = graph.dense()[np.ix_(left_s, right_s)]
-        edges = int(np.count_nonzero(sub))
-        non_edges = sub.size - edges
-        n_local = max(sub.shape)
-        r_hi = min(min(sub.shape), max(prepared.r_target, extractable_r(edges, non_edges, n_local)))
-        for r in range(r_hi, 0, -1):
-            picked = extract_array(sub, r, n_local, edges)
-            if picked is not None:
-                biclique = Biclique.from_graph(graph, left_s[picked[0]], right_s[picked[1]])
-                break
-    potential = edges - 2 * prepared.r_target * non_edges
-    n_host = max(graph.n_u, graph.n_v)
-    return TrialOutcome(
-        left_survivors=tuple(left_s.tolist()),
-        right_survivors=tuple(right_s.tolist()),
-        edges=edges,
-        non_edges=non_edges,
-        r_target=prepared.r_target,
-        potential=potential,
-        event_held=potential >= 2 * n_host * prepared.r_target,
-        biclique=biclique,
-        dropped_members=prepared.dropped,
-    )
+class _Evaluator:
+    """Scores and extracts survivor masks of one prepared solution on its
+    host graph.
+
+    The host's row and column bitsets are built once, and each survivor set
+    is cleaned and picked in host indices.  Every biclique is certified
+    against the host graph once per distinct (left, right); repeats reuse
+    the certified object.
+    """
+
+    def __init__(self, prepared: _Prepared, graph: BipartiteGraph):
+        self.prepared = prepared
+        self.graph = graph
+        self.rows, self.cols = bitsets(graph.dense())
+        self.left_members = prepared.left_members.tolist()
+        self.right_members = prepared.right_members.tolist()
+        self.certified: dict[tuple[tuple[int, ...], tuple[int, ...]], Biclique] = {}
+
+    def _certify(self, left: list[int], right: list[int]) -> Biclique:
+        key = (tuple(left), tuple(right))
+        biclique = self.certified.get(key)
+        if biclique is None:
+            biclique = self.certified[key] = Biclique.from_graph(self.graph, left, right)
+        return biclique
+
+    def __call__(self, mask: np.ndarray) -> TrialOutcome:
+        """The outcome of one survivor mask; it depends on the mask alone."""
+        prepared = self.prepared
+        flags = mask.tolist()
+        n_left = len(self.left_members)
+        left = list(compress(self.left_members, flags[:n_left]))
+        right = list(compress(self.right_members, flags[n_left:]))
+        edges = non_edges = 0
+        biclique: Biclique | None = None
+        if left and right:
+            rows = self.rows
+            live_r = 0
+            for j in right:
+                live_r |= 1 << j
+            for i in left:
+                edges += (rows[i] & live_r).bit_count()
+            non_edges = len(left) * len(right) - edges
+            n_local = max(len(left), len(right))
+            r_hi = min(len(left), len(right), max(prepared.r_target, extractable_r(edges, non_edges, n_local)))
+            for r in range(r_hi, 0, -1):
+                picked = extract_bits(rows, self.cols, left, right, r, n_local, edges)
+                if picked is not None:
+                    biclique = self._certify(*picked)
+                    break
+        potential = edges - 2 * prepared.r_target * non_edges
+        n_host = max(self.graph.n_u, self.graph.n_v)
+        return TrialOutcome(
+            left_survivors=tuple(left),
+            right_survivors=tuple(right),
+            edges=edges,
+            non_edges=non_edges,
+            r_target=prepared.r_target,
+            potential=potential,
+            event_held=potential >= 2 * n_host * prepared.r_target,
+            biclique=biclique,
+            dropped_members=prepared.dropped,
+        )
 
 
 def round_once(
@@ -333,7 +369,7 @@ def round_once(
     prepared = _prepare(solution, params)
     if rng is None:
         rng = np.random.default_rng((params.seed, 0))
-    return _evaluate(prepared, graph, _draw(prepared, params, rng))
+    return _Evaluator(prepared, graph)(_draw(prepared, params, rng))
 
 
 def round_many(
@@ -349,6 +385,7 @@ def round_many(
     """
     _check_match(solution, graph)
     prepared = _prepare(solution, params)
+    evaluate = _Evaluator(prepared, graph)
     memo: dict[bytes, TrialOutcome] = {}
     outcomes = []
     best: Biclique | None = None
@@ -357,7 +394,7 @@ def round_many(
         key = mask.tobytes()
         outcome = memo.get(key)
         if outcome is None:
-            outcome = memo[key] = _evaluate(prepared, graph, mask)
+            outcome = memo[key] = evaluate(mask)
         outcomes.append(outcome)
         if outcome.biclique is not None and (best is None or outcome.biclique.size > best.size):
             best = outcome.biclique
@@ -412,14 +449,13 @@ def diagnostics(
     up to solver tolerance; positive_pairs counts heavy pairs whose product
     exceeds half the mass product, every one of which must be an edge, and
     there must be at least k^2 / 4 of them.  Flags are computed with slack
-    n^2 x feas_tol.
+    n^2 x feas_tol.  tau and tau_clamped follow RoundingParams.for_instance:
+    tau=None takes default_tau(n), and an explicit tau is never clamped, so
+    passing the tau that built the params reports the params' flag.
     """
     _check_match(solution, graph)
     n = max(graph.n_u, graph.n_v)
-    if tau is None:
-        tau, clamped = default_tau(n)
-    else:
-        clamped = tau < TAU_FLOOR
+    tau, clamped = _resolve_tau(n, tau)
     k = n / ratio
     left, right = heavy_sets(solution, ratio)
     lv = solution.left_vectors()[left]

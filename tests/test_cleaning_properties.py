@@ -1,17 +1,18 @@
-"""Property tests: the array cleaning core and density_clean follow the
-from-scratch replay oracle, and the cleaning potential never drops."""
+"""Property tests: the cleaning kernel and density_clean follow the
+from-scratch replay oracle, the cleaning potential never drops, and
+extraction in host indices matches extraction on the sliced subgraph."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from test_extraction import replay_clean
 
-from mbb_sdp import BipartiteGraph, density_clean, greedy_extract, verify_biclique
-from mbb_sdp.extraction import clean_array, extract_array
+from mbb_sdp import BipartiteGraph, ExtractionPreconditionError, density_clean, greedy_extract, verify_biclique
+from mbb_sdp.extraction import bitsets, clean_array, extract_array, extract_bits
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -64,3 +65,35 @@ def test_extract_array_matches_greedy_extract(adj, r):
         assert found.size == r and verify_biclique(graph, found.left, found.right)
     if edges - 2 * r * (adj.size - edges) >= 2 * n * r:
         assert found is not None
+
+
+@st.composite
+def host_subsets(draw):
+    """An adjacency with ascending row and column subsets of it."""
+    adj = draw(adjacencies())
+    left = sorted(draw(st.sets(st.integers(0, adj.shape[0] - 1)))) if adj.shape[0] else []
+    right = sorted(draw(st.sets(st.integers(0, adj.shape[1] - 1)))) if adj.shape[1] else []
+    return adj, left, right
+
+
+def _extract_or_raise(extract):
+    try:
+        return extract()
+    except ExtractionPreconditionError:
+        return "precondition"
+
+
+@SETTINGS
+@given(case=host_subsets(), r=st.integers(1, 4), n=st.integers(0, 10))
+# n below the sides voids the guarantee, so the guaranteed branch can raise
+@example(case=(np.ones((1, 1), dtype=bool), [0], [0]), r=1, n=0)
+def test_host_index_extraction_matches_sliced(case, r, n):
+    adj, left, right = case
+    sub = adj[np.ix_(np.asarray(left, dtype=int), np.asarray(right, dtype=int))]
+    edges = int(sub.sum())
+    rows, cols = bitsets(adj)
+    host = _extract_or_raise(lambda: extract_bits(rows, cols, left, right, r, n, edges))
+    sliced = _extract_or_raise(lambda: extract_array(sub, r, n, edges))
+    if isinstance(sliced, tuple):
+        sliced = ([left[a] for a in sliced[0]], [right[b] for b in sliced[1]])
+    assert host == sliced

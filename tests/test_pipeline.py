@@ -447,3 +447,12 @@ def test_default_report_bytes_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e4e861b1184565b4608cfcca993b4ebc46f7ab98d2b46e234d17038f1e0cc13b"
     )
+
+
+def test_default_tau_clamp_agrees_across_the_report():
+    # n = 8 sits below the default tau's floor, so the default run clamps it
+    g, _ = planted_instance(8, 2, 0.2, seed=1008)
+    _, report = approximate_mbb(g, PipelineConfig())
+    assert report.rounding["tau"] == report.diagnostics["tau"] == 0.5
+    assert report.rounding["tau_clamped"] is True
+    assert report.diagnostics["tau_clamped"] is True

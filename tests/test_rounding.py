@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mbb_sdp import graphs as graphs_module
 from mbb_sdp import rounding as rounding_module
 from mbb_sdp import (
     ALPHA_DEFAULT,
@@ -323,13 +324,13 @@ def _memo_cases(solved_planted):
 
 def test_round_many_memo_matches_round_once_per_trial(solved_planted, monkeypatch):
     calls = []
-    core = rounding_module.extract_array
+    core = rounding_module.extract_bits
 
-    def counting(adj, r, n, edges):
+    def counting(rows, cols, left, right, r, n, edges):
         calls.append(r)
-        return core(adj, r, n, edges)
+        return core(rows, cols, left, right, r, n, edges)
 
-    monkeypatch.setattr(rounding_module, "extract_array", counting)
+    monkeypatch.setattr(rounding_module, "extract_bits", counting)
     distinct_counts = []
     for graph, sol, params in _memo_cases(solved_planted):
         calls.clear()
@@ -344,15 +345,57 @@ def test_round_many_memo_matches_round_once_per_trial(solved_planted, monkeypatc
         # extraction runs once per distinct mask with both sides nonempty,
         # trying each r from r_hi down at most once
         bound = 0
+        nonempty = 0
         for left, right in masks:
             if left and right:
+                nonempty += 1
                 rep = next(o for o in run.outcomes if (o.left_survivors, o.right_survivors) == (left, right))
                 n_local = max(len(left), len(right))
                 r_best = rep.edges // (2 * rep.non_edges + 2 * n_local)
                 bound += min(len(left), len(right), max(rep.r_target, r_best))
         assert extraction_calls <= bound
+        assert extraction_calls >= nonempty >= 1
         assert run.extraction_count >= 1
     assert distinct_counts[0] <= 2 < 32 <= distinct_counts[1]
+
+
+def test_round_many_certifies_each_distinct_biclique_once(solved_planted, monkeypatch):
+    case = next(c for c in solved_planted if (c.n, c.p) == (8, 0.2))
+    sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+    params = RoundingParams.for_instance(case.n, case.k, trials=64, seed=3)
+    checked = []
+    verify = graphs_module.verify_biclique
+
+    def counting(graph, left, right):
+        checked.append((tuple(left), tuple(right)))
+        return verify(graph, left, right)
+
+    monkeypatch.setattr(graphs_module, "verify_biclique", counting)
+    run = round_many(sol, case.graph, params)
+    found = [o.biclique for o in run.outcomes if o.biclique is not None]
+    distinct = {(b.left, b.right) for b in found}
+    assert len(checked) == len(distinct) >= 1
+    assert set(checked) == distinct
+    # repeats across distinct survivor sets reuse the certified biclique
+    masks_with_biclique = {(o.left_survivors, o.right_survivors) for o in run.outcomes if o.biclique is not None}
+    assert len(distinct) < len(masks_with_biclique)
+
+    # a kernel that hands back a non-edge is caught by the certification
+    i, j = (int(x) for x in np.argwhere(~case.graph.dense())[0])
+    monkeypatch.setattr(rounding_module, "extract_bits", lambda *args: ([i], [j]))
+    with pytest.raises(ValueError):
+        round_many(sol, case.graph, params)
+
+
+def test_diagnostics_reports_the_params_tau_clamp():
+    n, k = 8, 2
+    graph, planted = planted_instance(n, k, 0.2, seed=1008)
+    sol = indicator_solution(n, planted.biclique.left, planted.biclique.right)
+    for tau in (None, 0.5, 0.3, 1.25):
+        params = RoundingParams.for_instance(n, k, tau=tau)
+        diag = diagnostics(sol, graph, ratio=params.ratio, tau=tau)
+        assert (diag.tau, diag.tau_clamped) == (params.tau, params.tau_clamped)
+    assert diagnostics(sol, graph, ratio=n / k).tau_clamped
 
 
 def test_round_many_bytes_pinned(solved_planted):
