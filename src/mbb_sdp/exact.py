@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
-from .graphs import BipartiteGraph, Biclique
+from .graphs import BipartiteGraph, Biclique, lowest_bits
 
 __all__ = ["exact_mbb", "contains_biclique", "DEFAULT_SIZE_GUARD"]
 
@@ -21,31 +21,25 @@ def _check_guard(graph: BipartiteGraph, size_limit: int | None) -> None:
         )
 
 
-def _row_masks(adj: np.ndarray) -> list[int]:
-    """Neighborhood of each row vertex as a bitmask over column vertices."""
-    masks = []
-    for row in adj:
-        m = 0
-        for j in np.flatnonzero(row):
-            m |= 1 << int(j)
-        masks.append(m)
-    return masks
+def _smaller_side(graph: BipartiteGraph) -> tuple[Sequence[int], int]:
+    """The smaller side's bitsets and their width, where enumeration is cheapest."""
+    rows, cols = graph.bitsets()
+    return (cols, graph.n_u) if graph.n_v < graph.n_u else (rows, graph.n_v)
 
 
-def _best_size(adj: np.ndarray) -> int:
-    """Largest s such that some s rows share at least s common neighbors.
+def _best_size(masks: Sequence[int], width: int) -> int:
+    """Largest s such that some s of the bitsets ``masks``, each over
+    ``width`` bits, share at least s set bits.
 
-    Depth-first search over row subsets in decreasing-degree order.  At a node
-    with chosen set S and common neighborhood N, no descendant can beat
+    Depth-first search over mask subsets in decreasing-degree order.  At a
+    node with chosen set S and common bits N, no descendant can beat
     min(|S| + remaining candidates, |N|).
     """
-    a, b = adj.shape
-    if a == 0 or b == 0:
+    a = len(masks)
+    if a == 0 or width == 0:
         return 0
-    masks = _row_masks(adj)
-    degs = adj.sum(axis=1)
-    order = sorted(range(a), key=lambda i: (-int(degs[i]), i))
-    full = (1 << b) - 1
+    order = sorted(range(a), key=lambda i: (-masks[i].bit_count(), i))
+    full = (1 << width) - 1
     best = 0
 
     def visit(start: int, s_size: int, hood: int) -> None:
@@ -68,12 +62,11 @@ def _best_size(adj: np.ndarray) -> int:
     return best
 
 
-def _lex_smallest_left(adj: np.ndarray, target: int) -> tuple[list[int], int]:
-    """First size-``target`` row set, in lexicographic order, whose common
-    neighborhood has at least ``target`` columns.  Assumes one exists."""
-    a, b = adj.shape
-    masks = _row_masks(adj)
-    full = (1 << b) - 1
+def _lex_smallest_left(masks: Sequence[int], width: int, target: int) -> tuple[list[int], int] | None:
+    """First size-``target`` set of the bitsets ``masks`` (each over
+    ``width`` bits), in lexicographic order of indices, that shares at least
+    ``target`` set bits, with those common bits; None when there is none."""
+    a = len(masks)
     found: list[int] = []
     found_hood = 0
 
@@ -95,20 +88,9 @@ def _lex_smallest_left(adj: np.ndarray, target: int) -> tuple[list[int], int]:
             chosen.pop()
         return False
 
-    if not visit(0, [], full):
-        raise RuntimeError("no realization found at the optimal size; search is inconsistent")
+    if not visit(0, [], (1 << width) - 1):
+        return None
     return found, found_hood
-
-
-def _lowest_bits(mask: int, count: int) -> list[int]:
-    out = []
-    j = 0
-    while len(out) < count:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return out
 
 
 def exact_mbb(graph: BipartiteGraph, size_limit: int | None = None) -> Biclique:
@@ -122,23 +104,23 @@ def exact_mbb(graph: BipartiteGraph, size_limit: int | None = None) -> Biclique:
     _check_guard(graph, size_limit)
     if graph.num_edges == 0:
         return Biclique.empty()
-    # Search for the optimal size on the smaller side, where enumeration is cheapest.
-    if graph.n_v < graph.n_u:
-        size = _best_size(graph.dense().T.copy())
-    else:
-        size = _best_size(graph.dense())
+    size = _best_size(*_smaller_side(graph))
     if size == 0:
         return Biclique.empty()
     # Realize it with the tie-break defined on the original left side.
-    left, hood = _lex_smallest_left(graph.dense(), size)
-    right = _lowest_bits(hood, size)
-    return Biclique.from_graph(graph, left, right)
+    found = _lex_smallest_left(graph.bitsets()[0], graph.n_v, size)
+    if found is None:
+        raise RuntimeError("no realization found at the optimal size; search is inconsistent")
+    left, hood = found
+    return Biclique.from_graph(graph, left, lowest_bits(hood, size))
 
 
 def contains_biclique(graph: BipartiteGraph, r: int, size_limit: int | None = None) -> bool:
     """Decision version: does the graph contain a balanced biclique of size >= r?
 
-    Early-exits on the first witness instead of completing the optimization.
+    Searches the smaller side for r vertices with at least r common
+    neighbours, which exist iff a balanced r-biclique does, and stops at the
+    first witness instead of completing the optimization.
     """
     r = int(r)
     if r <= 0:
@@ -146,24 +128,4 @@ def contains_biclique(graph: BipartiteGraph, r: int, size_limit: int | None = No
     _check_guard(graph, size_limit)
     if r > min(graph.n_u, graph.n_v):
         return False
-    adj = graph.dense().T.copy() if graph.n_v < graph.n_u else graph.dense()
-    a, b = adj.shape
-    masks = _row_masks(adj)
-    degs = adj.sum(axis=1)
-    order = sorted(range(a), key=lambda i: (-int(degs[i]), i))
-    full = (1 << b) - 1
-
-    def visit(start: int, s_size: int, hood: int) -> bool:
-        if min(s_size, hood.bit_count()) >= r:
-            return True
-        for pos in range(start, a):
-            if min(s_size + (a - pos), hood.bit_count()) < r:
-                break
-            child = hood & masks[order[pos]]
-            if min(s_size + 1 + (a - pos - 1), child.bit_count()) < r:
-                continue
-            if visit(pos + 1, s_size + 1, child):
-                return True
-        return False
-
-    return visit(0, 0, full)
+    return _lex_smallest_left(*_smaller_side(graph), r) is not None

@@ -7,22 +7,22 @@ remains a balanced biclique of order r can be read off greedily whenever the
 survivors are large enough.  When W >= 2 n r for a host-side bound n, they
 always are.
 
-Cleaning and picking run in one kernel on Python-int bitsets: each row and
-column of the adjacency is one int, a live degree is one AND and a
-bit_count, and the pick ANDs the chosen rows.  The kernel takes any
-ascending subset of rows and columns and answers in the bitsets' own
-indices, so rounding cleans a survivor set in host indices without slicing;
-the array and graph entry points convert to bitsets and call the same kernel.
+Cleaning and picking run in one kernel on the graph's Python-int bitsets
+(``BipartiteGraph.bitsets``): each row and column of the adjacency is one
+int, a live degree is one AND and a bit_count, and the pick ANDs the chosen
+rows.  The kernel takes any ascending subset of rows and columns and answers
+in the bitsets' own indices, so rounding cleans a survivor set in host
+indices without slicing, and the graph entry points below pass the whole
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
-import numpy as np
-
-from .graphs import BipartiteGraph, Biclique
+from .graphs import BipartiteGraph, Biclique, bit_mask, induced_subgraph, lowest_bits
 
 __all__ = [
     "CleaningTrace",
@@ -31,11 +31,8 @@ __all__ = [
     "construct_biclique",
     "greedy_extract",
     "best_extractable_r",
-    "bitsets",
     "clean_bits",
     "extract_bits",
-    "clean_array",
-    "extract_array",
     "extractable_r",
 ]
 
@@ -69,30 +66,11 @@ class CleaningTrace:
         return tuple(j for j in range(self.n_v) if j not in gone)
 
 
-def bitsets(adj: np.ndarray) -> tuple[list[int], list[int]]:
-    """Row and column bitsets of a boolean adjacency array: bit j of
-    ``rows[i]`` and bit i of ``cols[j]`` are set iff ``adj[i, j]``."""
-    adj = np.asarray(adj, dtype=bool)
-    return _row_bits(adj), _row_bits(adj.T)
-
-
-def _row_bits(adj: np.ndarray) -> list[int]:
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _mask(indices) -> int:
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return bits
-
-
 def clean_bits(
-    rows: list[int], cols: list[int], left, right, r: int
+    rows: Sequence[int], cols: Sequence[int], left, right, r: int
 ) -> tuple[list[int], list[int], list[tuple[str, int]], list[int]]:
-    """The cleaning loop, on the bitsets of ``bitsets`` restricted to the
-    live rows ``left`` and columns ``right`` (ascending); no validation.
+    """The cleaning loop, on a graph's row and column bitsets restricted to
+    the live rows ``left`` and columns ``right`` (ascending); no validation.
 
     Returns (left survivors, right survivors, deletions, the potential's gain
     at each deletion), in the bitsets' own indices.  The deletion order is
@@ -103,8 +81,8 @@ def clean_bits(
     """
     left = list(left)
     right = list(right)
-    live_l = _mask(left)
-    live_r = _mask(right)
+    live_l = bit_mask(left)
+    live_r = bit_mask(right)
     two_r = 2 * r
     weight = 1 + two_r
     deleted: list[tuple[str, int]] = []
@@ -138,26 +116,21 @@ def clean_bits(
 
 
 def _greedy_pick(
-    rows: list[int], left: list[int], right: list[int], r: int
+    rows: Sequence[int], left: list[int], right: list[int], r: int
 ) -> tuple[list[int], list[int]] | None:
     """Take the r lowest-index live rows, AND their bitsets over the live
     columns, and keep the r lowest-index common columns.  None when fewer
     than r survive."""
-    common = _mask(right)
+    common = bit_mask(right)
     for i in left[:r]:
         common &= rows[i]
     if common.bit_count() < r:
         return None
-    picked = []
-    for _ in range(r):
-        low = common & -common
-        picked.append(low.bit_length() - 1)
-        common ^= low
-    return left[:r], picked
+    return left[:r], lowest_bits(common, r)
 
 
 def _construct(
-    rows: list[int], left: list[int], right: list[int], r: int
+    rows: Sequence[int], left: list[int], right: list[int], r: int
 ) -> tuple[list[int], list[int]]:
     """construct_biclique's size check and pick on the live rows and columns
     of a cleaned graph; raises ExtractionPreconditionError."""
@@ -174,7 +147,7 @@ def _construct(
 
 
 def extract_bits(
-    rows: list[int], cols: list[int], left, right, r: int, n: int, edges: int
+    rows: Sequence[int], cols: Sequence[int], left, right, r: int, n: int, edges: int
 ) -> tuple[list[int], list[int]] | None:
     """Extraction kernel on the subgraph of live rows ``left`` and columns
     ``right`` (ascending), which has ``edges`` edges; no validation.
@@ -194,31 +167,6 @@ def extract_bits(
     return _greedy_pick(rows, left, right, r)
 
 
-def clean_array(
-    adj: np.ndarray, r: int
-) -> tuple[list[int], list[int], list[tuple[str, int]], list[int], int]:
-    """Cleaning on a whole boolean adjacency array; no validation.
-
-    Returns (left survivors, right survivors, deletions, potentials after
-    each deletion, initial potential), indices being rows and columns of
-    ``adj``; clean_bits does the work.
-    """
-    rows, cols = bitsets(adj)
-    left, right, deleted, gains = clean_bits(rows, cols, range(len(rows)), range(len(cols)), r)
-    edges = int(np.count_nonzero(adj))
-    initial = edges - 2 * r * (adj.size - edges)
-    return left, right, deleted, list(accumulate(gains, initial=initial))[1:], initial
-
-
-def extract_array(
-    adj: np.ndarray, r: int, n: int, edges: int
-) -> tuple[list[int], list[int]] | None:
-    """extract_bits on a whole boolean adjacency array with ``edges`` edges;
-    indices are rows and columns of ``adj``."""
-    rows, cols = bitsets(adj)
-    return extract_bits(rows, cols, range(len(rows)), range(len(cols)), r, n, edges)
-
-
 def _check_r(r) -> int:
     r = int(r)
     if r < 1:
@@ -235,18 +183,19 @@ def density_clean(graph: BipartiteGraph, r: int) -> tuple[BipartiteGraph, Cleani
     indices plus the full trace.
     """
     r = _check_r(r)
-    adj = graph.dense()
-    left, right, deleted, potentials, initial = clean_array(adj, r)
-    sub = adj[np.ix_(left, right)] if left and right else np.zeros((len(left), len(right)), dtype=bool)
+    rows, cols = graph.bitsets()
+    left, right, deleted, gains = clean_bits(rows, cols, range(graph.n_u), range(graph.n_v), r)
+    initial = graph.num_edges - 2 * r * graph.num_non_edges
     trace = CleaningTrace(
         n_u=graph.n_u,
         n_v=graph.n_v,
         r=r,
         initial_potential=initial,
         deleted=tuple(deleted),
-        potentials=tuple(potentials),
+        potentials=tuple(accumulate(gains, initial=initial))[1:],
     )
-    return BipartiteGraph(len(left), len(right), sub), trace
+    cleaned, _, _ = induced_subgraph(graph, left, right)
+    return cleaned, trace
 
 
 def construct_biclique(cleaned: BipartiteGraph, r: int) -> Biclique:
@@ -258,7 +207,7 @@ def construct_biclique(cleaned: BipartiteGraph, r: int) -> Biclique:
     ExtractionPreconditionError when the sizes make that argument impossible.
     """
     r = _check_r(r)
-    rows, _ = bitsets(cleaned.dense())
+    rows, _ = cleaned.bitsets()
     left, right = _construct(rows, list(range(cleaned.n_u)), list(range(cleaned.n_v)), r)
     return Biclique.from_graph(cleaned, left, right)
 
@@ -273,7 +222,8 @@ def greedy_extract(graph: BipartiteGraph, r: int, n: int) -> Biclique | None:
     n = int(n)
     if n < max(graph.n_u, graph.n_v):
         raise ValueError(f"host bound n={n} is below the graph's sides ({graph.n_u}, {graph.n_v})")
-    picked = extract_array(graph.dense(), r, n, graph.num_edges)
+    rows, cols = graph.bitsets()
+    picked = extract_bits(rows, cols, range(graph.n_u), range(graph.n_v), r, n, graph.num_edges)
     if picked is None:
         return None
     return Biclique.from_graph(graph, picked[0], picked[1])

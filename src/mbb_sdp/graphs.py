@@ -21,6 +21,8 @@ __all__ = [
     "induced_counts",
     "induced_subgraph",
     "kk_cores",
+    "bit_mask",
+    "lowest_bits",
     "parse_graph",
     "serialize_graph",
 ]
@@ -37,12 +39,13 @@ class BipartiteGraph:
     """Immutable bipartite graph on vertex sets U = {0..n_u-1} and V = {0..n_v-1}.
 
     Adjacency lives in a dense read-only boolean matrix, the right trade-off at
-    the few-hundred-vertex scale this package targets.  Zero-vertex sides are
+    the few-hundred-vertex scale this package targets; :meth:`bitsets` is the
+    same adjacency as Python-int rows and columns, built on first use.  Zero-vertex sides are
     representable because subgraph cleaning can empty a side; the validated
     public constructor :func:`new_bipartite` rejects them.
     """
 
-    __slots__ = ("n_u", "n_v", "_adj", "_edge_cache")
+    __slots__ = ("n_u", "n_v", "_adj", "_edge_cache", "_bitset_cache")
 
     def __init__(self, n_u: int, n_v: int, adj: np.ndarray):
         n_u = int(n_u)
@@ -57,6 +60,7 @@ class BipartiteGraph:
         self.n_v = n_v
         self._adj = a
         self._edge_cache: frozenset[tuple[int, int]] | None = None
+        self._bitset_cache: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
     def adj(self, i: int, j: int) -> bool:
         """Constant-time adjacency query for U-vertex i and V-vertex j."""
@@ -74,6 +78,13 @@ class BipartiteGraph:
             pairs = np.argwhere(self._adj)
             self._edge_cache = frozenset((int(i), int(j)) for i, j in pairs)
         return self._edge_cache
+
+    def bitsets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Row and column bitsets, built once per graph: bit j of ``rows[i]``
+        and bit i of ``cols[j]`` are set iff (i, j) is an edge."""
+        if self._bitset_cache is None:
+            self._bitset_cache = (_packed_rows(self._adj), _packed_rows(self._adj.T))
+        return self._bitset_cache
 
     @property
     def num_edges(self) -> int:
@@ -114,6 +125,30 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(n_u={self.n_u}, n_v={self.n_v}, m={self.num_edges})"
+
+
+def _packed_rows(adj: np.ndarray) -> tuple[int, ...]:
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def bit_mask(indices: Iterable[int]) -> int:
+    """The bitset with exactly the bits ``indices`` (Python ints) set."""
+    bits = 0
+    for i in indices:
+        bits |= 1 << i
+    return bits
+
+
+def lowest_bits(mask: int, count: int) -> list[int]:
+    """Indices of the ``count`` lowest set bits of ``mask``, ascending; the
+    mask must have at least that many."""
+    out = []
+    for _ in range(count):
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -348,24 +349,10 @@ def approximate_mbb(
             diag = diagnostics(
                 solution, graph, params.ratio, tau=config.tau, feas_tol=config.solver.eps_feas
             )
-            diag_dict = {
-                "k": diag.k,
-                "tau": diag.tau,
-                "tau_clamped": diag.tau_clamped,
-                "left_heavy_count": len(diag.left_heavy),
-                "right_heavy_count": len(diag.right_heavy),
-                "pair_mass": diag.pair_mass,
-                "pair_mass_floor": diag.pair_mass_floor,
-                "pair_mass_ok": diag.pair_mass_ok,
-                "positive_pairs": diag.positive_pairs,
-                "positive_pairs_floor": diag.positive_pairs_floor,
-                "positive_pairs_ok": diag.positive_pairs_ok,
-                "positive_pairs_within_edges": diag.positive_pairs_within_edges,
-                "analysis_r": diag.analysis_r,
-                "expected_edges_floor": diag.expected_edges_floor,
-                "expected_non_edges_ceiling": diag.expected_non_edges_ceiling,
-                "guarantee_value": diag.guarantee_value,
-            }
+            diag_dict = asdict(diag)
+            del diag_dict["n"], diag_dict["ratio"]
+            diag_dict["left_heavy_count"] = len(diag_dict.pop("left_heavy"))
+            diag_dict["right_heavy_count"] = len(diag_dict.pop("right_heavy"))
             if run.best is not None:
                 candidates.append(("sdp-rounding", run.best))
             timings["rounding"] = time.perf_counter() - t0
@@ -446,6 +433,15 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(solver=solver, **{k: v for k, v in raw.items() if k in _PIPELINE_KEYS})
 
 
+def _run_name_error(name: str, uses: int) -> str | None:
+    """Why ``name`` cannot name a run's report file, or None when it can."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        return f"run name {name!r} is not a plain file name"
+    if uses > 1:
+        return f"run name {name!r} is shared by {uses} runs"
+    return None
+
+
 def run_experiment(
     spec_path: str | os.PathLike,
     output_dir: str | os.PathLike | None = None,
@@ -457,7 +453,10 @@ def run_experiment(
     n, planted_k, found_size, exact_size, method, time) into the output
     directory, atomically.  A failing run becomes an ``error`` row, its JSON
     holds an ``error`` object with the exception type and message, and one
-    line goes to stderr; the rest still complete.  Returns the CSV path.
+    line goes to stderr; the rest still complete.  A run's name must be a
+    plain file name (not empty, ``.`` or ``..``, no path separator) used by
+    no other run of the spec; a run that breaks this becomes an ``error``
+    row and a stderr line but writes no file.  Returns the CSV path.
     """
     spec_path = Path(spec_path)
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
@@ -465,13 +464,18 @@ def run_experiment(
     out = Path(output_dir) if output_dir is not None else base_dir / spec.get("output_dir", "reports")
     out.mkdir(parents=True, exist_ok=True)
 
+    runs = spec.get("runs", [])
+    names = [str(run_spec.get("name", f"run-{idx}")) for idx, run_spec in enumerate(runs)]
+    uses = Counter(names)
     rows: list[dict] = []
-    for idx, run_spec in enumerate(spec.get("runs", [])):
-        name = str(run_spec.get("name", f"run-{idx}"))
+    for run_spec, name in zip(runs, names):
         row = {col: "" for col in CSV_COLUMNS}
         row["instance"] = name
         t0 = time.perf_counter()
+        name_error = _run_name_error(name, uses[name])
         try:
+            if name_error is not None:
+                raise ValueError(name_error)
             graph, planted_k = _build_instance(run_spec.get("generator", {}), base_dir)
             config = _config_from_dict(dict(run_spec.get("config", {})))
             if run_spec.get("exact"):
@@ -494,12 +498,13 @@ def run_experiment(
             row["method"] = "error"
             error = {"type": type(exc).__name__, "message": str(exc)}
             print(f"mbb: run {name} failed: {error['type']}: {error['message']}", file=sys.stderr)
-            try:
-                write_text_atomic(
-                    out / f"{name}.json", json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
-                )
-            except OSError:
-                pass  # the stderr line and the error row still record the failure
+            if name_error is None:
+                try:
+                    write_text_atomic(
+                        out / f"{name}.json", json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"
+                    )
+                except OSError:
+                    pass  # the stderr line and the error row still record the failure
         if include_timings:
             row["time"] = f"{time.perf_counter() - t0:.3f}"
         rows.append(row)

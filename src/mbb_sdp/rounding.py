@@ -17,9 +17,9 @@ from itertools import compress
 
 import numpy as np
 
-from .extraction import bitsets, extract_bits, extractable_r
+from .extraction import extract_bits, extractable_r
 from .gaussian import std_normal_pdf
-from .graphs import BipartiteGraph, Biclique
+from .graphs import BipartiteGraph, Biclique, bit_mask
 from .sdp import VectorSolution
 
 # The per-trial path no longer calls these, but they stay importable from this
@@ -297,16 +297,16 @@ class _Evaluator:
     """Scores and extracts survivor masks of one prepared solution on its
     host graph.
 
-    The host's row and column bitsets are built once, and each survivor set
-    is cleaned and picked in host indices.  Every biclique is certified
-    against the host graph once per distinct (left, right); repeats reuse
-    the certified object.
+    Each survivor set is cleaned and picked in host indices on the host's
+    bitsets, which the graph builds once and caches.  Every biclique is
+    certified against the host graph once per distinct (left, right);
+    repeats reuse the certified object.
     """
 
     def __init__(self, prepared: _Prepared, graph: BipartiteGraph):
         self.prepared = prepared
         self.graph = graph
-        self.rows, self.cols = bitsets(graph.dense())
+        self.rows, self.cols = graph.bitsets()
         self.left_members = prepared.left_members.tolist()
         self.right_members = prepared.right_members.tolist()
         self.certified: dict[tuple[tuple[int, ...], tuple[int, ...]], Biclique] = {}
@@ -329,9 +329,7 @@ class _Evaluator:
         biclique: Biclique | None = None
         if left and right:
             rows = self.rows
-            live_r = 0
-            for j in right:
-                live_r |= 1 << j
+            live_r = bit_mask(right)
             for i in left:
                 edges += (rows[i] & live_r).bit_count()
             non_edges = len(left) * len(right) - edges

@@ -1,6 +1,7 @@
-"""Property tests: the cleaning kernel and density_clean follow the
-from-scratch replay oracle, the cleaning potential never drops, and
-extraction in host indices matches extraction on the sliced subgraph."""
+"""Property tests: the cleaning kernel on a graph's bitsets and
+density_clean follow the from-scratch replay oracle, the cleaning potential
+never drops, and extraction in host indices matches extraction on the
+sliced subgraph."""
 
 import numpy as np
 import pytest
@@ -11,8 +12,15 @@ from hypothesis.extra.numpy import arrays
 
 from test_extraction import replay_clean
 
-from mbb_sdp import BipartiteGraph, ExtractionPreconditionError, density_clean, greedy_extract, verify_biclique
-from mbb_sdp.extraction import bitsets, clean_array, extract_array, extract_bits
+from mbb_sdp import (
+    BipartiteGraph,
+    ExtractionPreconditionError,
+    density_clean,
+    greedy_extract,
+    induced_subgraph,
+    verify_biclique,
+)
+from mbb_sdp.extraction import clean_bits, extract_bits
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -27,12 +35,17 @@ def adjacencies(draw, max_side=8):
 
 @SETTINGS
 @given(adj=adjacencies(), r=st.integers(1, 4))
-def test_clean_array_and_density_clean_match_replay(adj, r):
+def test_clean_bits_and_density_clean_match_replay(adj, r):
     graph = BipartiteGraph(*adj.shape, adj)
     deleted, potentials, left, right = replay_clean(graph, r)
 
-    core_left, core_right, core_deleted, core_potentials, initial = clean_array(adj, r)
-    assert (tuple(core_deleted), tuple(core_potentials)) == (deleted, potentials)
+    edges = int(adj.sum())
+    initial = edges - 2 * r * (adj.size - edges)
+    core_left, core_right, core_deleted, gains = clean_bits(
+        *graph.bitsets(), range(graph.n_u), range(graph.n_v), r
+    )
+    assert tuple(core_deleted) == deleted
+    assert tuple(np.cumsum([initial] + gains)[1:].tolist()) == potentials
     assert (tuple(core_left), tuple(core_right)) == (left, right)
 
     cleaned, trace = density_clean(graph, r)
@@ -41,8 +54,7 @@ def test_clean_array_and_density_clean_match_replay(adj, r):
     assert np.array_equal(cleaned.dense(), adj[np.ix_(left, right)].reshape(len(left), len(right)))
 
     # the potential path never drops, and ends at the cleaned graph's W
-    edges = int(adj.sum())
-    assert initial == trace.initial_potential == edges - 2 * r * (adj.size - edges)
+    assert trace.initial_potential == initial
     path = (initial,) + potentials
     assert all(b >= a for a, b in zip(path, path[1:]))
     assert path[-1] == cleaned.num_edges - 2 * r * cleaned.num_non_edges
@@ -50,13 +62,13 @@ def test_clean_array_and_density_clean_match_replay(adj, r):
 
 @SETTINGS
 @given(adj=adjacencies(), r=st.integers(1, 4))
-def test_extract_array_matches_greedy_extract(adj, r):
+def test_extract_bits_matches_greedy_extract(adj, r):
     if 0 in adj.shape:
         return
     graph = BipartiteGraph(*adj.shape, adj)
     n = max(adj.shape)
     edges = int(adj.sum())
-    picked = extract_array(adj, r, n, edges)
+    picked = extract_bits(*graph.bitsets(), range(graph.n_u), range(graph.n_v), r, n, edges)
     found = greedy_extract(graph, r, n)
     if picked is None:
         assert found is None
@@ -89,11 +101,13 @@ def _extract_or_raise(extract):
 @example(case=(np.ones((1, 1), dtype=bool), [0], [0]), r=1, n=0)
 def test_host_index_extraction_matches_sliced(case, r, n):
     adj, left, right = case
-    sub = adj[np.ix_(np.asarray(left, dtype=int), np.asarray(right, dtype=int))]
-    edges = int(sub.sum())
-    rows, cols = bitsets(adj)
-    host = _extract_or_raise(lambda: extract_bits(rows, cols, left, right, r, n, edges))
-    sliced = _extract_or_raise(lambda: extract_array(sub, r, n, edges))
+    graph = BipartiteGraph(*adj.shape, adj)
+    sub, _, _ = induced_subgraph(graph, left, right)
+    edges = sub.num_edges
+    host = _extract_or_raise(lambda: extract_bits(*graph.bitsets(), left, right, r, n, edges))
+    sliced = _extract_or_raise(
+        lambda: extract_bits(*sub.bitsets(), range(sub.n_u), range(sub.n_v), r, n, edges)
+    )
     if isinstance(sliced, tuple):
         sliced = ([left[a] for a in sliced[0]], [right[b] for b in sliced[1]])
     assert host == sliced

@@ -12,6 +12,7 @@ from mbb_sdp import (
     planted_instance,
     verify_biclique,
 )
+import mbb_sdp.exact as exact_module
 from mbb_sdp.exact import DEFAULT_SIZE_GUARD
 
 
@@ -89,6 +90,28 @@ def test_contains_biclique_consistent_with_exact():
         opt = exact_mbb(g).size
         for r in range(0, min(g.n_u, g.n_v) + 2):
             assert contains_biclique(g, r) == (r <= opt)
+
+
+def test_searches_enumerate_the_smaller_side(monkeypatch):
+    """The size search and the decision search walk the smaller side's
+    bitsets; only the realization walks the left side, for its tie-break."""
+    seen = []
+    for name in ("_best_size", "_lex_smallest_left"):
+        def spy(masks, width, *rest, real=getattr(exact_module, name), name=name):
+            seen.append((name, masks, width))
+            return real(masks, width, *rest)
+
+        monkeypatch.setattr(exact_module, name, spy)
+    tall = new_bipartite(5, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 0), (4, 2)])
+    wide = new_bipartite(3, 5, [(j, i) for i, j in tall.edges])
+    for graph, smaller in ((tall, tall.bitsets()[1]), (wide, wide.bitsets()[0])):
+        rows = graph.bitsets()[0]
+        seen.clear()
+        assert exact_mbb(graph).size == 2
+        assert seen == [("_best_size", smaller, 5), ("_lex_smallest_left", rows, graph.n_v)]
+        seen.clear()
+        assert contains_biclique(graph, 2) and not contains_biclique(graph, 3)
+        assert seen == [("_lex_smallest_left", smaller, 5)] * 2
 
 
 def test_size_guard_blocks_large_instances():

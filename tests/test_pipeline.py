@@ -392,6 +392,39 @@ def test_run_experiment_records_run_errors(tmp_path, capsys):
     assert err_lines[1] == "mbb: run bad-kind failed: ValueError: unknown generator type 'nope'"
 
 
+def _tiny_run(name):
+    return {"name": name, "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"trials": 8}}
+
+
+def test_run_experiment_rejects_shared_run_names(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", [_tiny_run("a"), _tiny_run("b"), _tiny_run("a")])
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["instance"], r["method"]) for r in rows] == [("a", "error"), ("b", "baseline"), ("a", "error")]
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "b.json"]
+    assert capsys.readouterr().err.splitlines() == [
+        "mbb: run a failed: ValueError: run name 'a' is shared by 2 runs"
+    ] * 2
+
+
+def test_run_experiment_rejects_path_like_run_names(tmp_path, capsys):
+    names = ["../../escaped", "", ".", "..", "sub/x", "back\\slash", "ok"]
+    spec = write_spec(tmp_path / "spec.json", [_tiny_run(name) for name in names])
+    out = tmp_path / "deep" / "er" / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["instance"] for r in rows] == names
+    assert [r["method"] for r in rows] == ["error"] * 6 + ["baseline"]
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "ok.json"]
+    assert sorted(p.name for p in (tmp_path / "deep").iterdir()) == ["er"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6
+    assert err[0] == "mbb: run ../../escaped failed: ValueError: run name '../../escaped' is not a plain file name"
+
+
 def test_run_experiment_rejects_unknown_config_keys(tmp_path):
     runs = [
         {
