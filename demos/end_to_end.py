@@ -1,10 +1,11 @@
 """Run the whole pipeline once on a small planted instance and narrate it.
 
 The run solves the relaxation for k = cap, cap - 1, ... down to the first
-feasible k, where cap is the largest k with a nonempty (k,k)-core, and rounds
-there.  Each k is solved on its (k,k)-core first, and on the whole graph when
-the core gives no certificate.  A greedy baseline competes with the rounded
-result, and the report says which method produced the winner.
+feasible k, where cap is the largest k with a nonempty common-neighbour core,
+and rounds there.  Each k is solved on its common-neighbour core first, and on
+the whole graph when the core gives no certificate.  A greedy baseline
+competes with the rounded result, and the report says which method produced
+the winner.
 """
 
 from mbb_sdp import PipelineConfig, approximate_mbb, planted_instance, verify_biclique

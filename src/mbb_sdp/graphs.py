@@ -20,7 +20,7 @@ __all__ = [
     "verify_biclique",
     "induced_counts",
     "induced_subgraph",
-    "kk_cores",
+    "common_neighbour_cores",
     "bit_mask",
     "lowest_bits",
     "parse_graph",
@@ -313,31 +313,45 @@ def induced_subgraph(
     return BipartiteGraph(s.size, t.size, sub), ids_left, ids_right
 
 
-def kk_cores(graph: BipartiteGraph) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The graph's nonempty (k,k)-cores for k = 1, 2, ...: entry k - 1 holds
-    the sorted U- and V-indices of the (k,k)-core.
+def _partnered(adj: np.ndarray, k: int) -> np.ndarray:
+    """Which rows of the 0/1 float matrix ``adj`` have at least k nonzeros
+    and at least k - 1 other rows sharing at least k columns with them."""
+    common = adj @ adj.T  # float BLAS: exact integer counts, unlike int matmul
+    np.fill_diagonal(common, 0.0)  # a row is not its own partner
+    return (adj.sum(axis=1) >= k) & ((common >= k).sum(axis=1) >= k - 1)
 
-    The (k,k)-core is what is left after repeatedly deleting every vertex
-    with fewer than k neighbours on the other side.  Every balanced
-    k-biclique lies inside it, and a nonempty one has at least k vertices on
-    each side.  Cores are nested in k, so each is peeled from the one before
-    and the list stops at the first empty core: its length is the core cap,
-    the largest k at which a k-biclique can exist.
+
+def common_neighbour_cores(graph: BipartiteGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The graph's nonempty common-neighbour cores for k = 1, 2, ...: entry
+    k - 1 holds the sorted U- and V-indices of the k-th core.
+
+    The k-th core is what is left after repeatedly deleting every vertex u
+    that has fewer than k neighbours on the other side, or fewer than k - 1
+    other vertices on its own side sharing at least k common neighbours with
+    it, both counted inside the current sets.  In a balanced k-biclique every
+    vertex passes both tests, so every k-biclique lies inside the core, and a
+    nonempty core has at least k vertices on each side.  A deletion never
+    helps another vertex pass, so the core does not depend on the order of
+    deletions; the peel deletes each side's failures at once and alternates
+    sides until nothing changes.  The tests only get harder as k grows, so
+    each core is peeled from the one before and the list stops at the first
+    empty core: its length is the core cap, the largest k at which a
+    k-biclique can exist.
     """
-    adj = graph.dense().astype(np.int64)
-    left = np.ones(graph.n_u, dtype=bool)
-    right = np.ones(graph.n_v, dtype=bool)
+    adj = graph.dense().astype(np.float64)
+    left = np.arange(graph.n_u)
+    right = np.arange(graph.n_v)
     cores = []
     for k in range(1, min(graph.n_u, graph.n_v) + 1):
         while True:
-            kept_left = left & (adj @ right >= k)
-            kept_right = right & (kept_left @ adj >= k)
-            if np.array_equal(kept_left, left) and np.array_equal(kept_right, right):
+            kept_left = left[_partnered(adj[np.ix_(left, right)], k)]
+            kept_right = right[_partnered(adj[np.ix_(kept_left, right)].T, k)]
+            if kept_left.size == left.size and kept_right.size == right.size:
                 break
             left, right = kept_left, kept_right
-        if not left.any():
+        if left.size == 0:
             break
-        cores.append((np.flatnonzero(left), np.flatnonzero(right)))
+        cores.append((left, right))
     return cores
 
 

@@ -3,12 +3,14 @@
 The pipeline searches for the largest target size k at which the strong
 relaxation is feasible, rounds the solution at that k, runs a combinatorial
 greedy baseline, and returns the largest verified biclique found.  The top
-of the search range is the core cap, the largest k with a nonempty (k,k)-core
-(no balanced biclique is larger).  Because the relaxation's mass rows are
+of the search range is the core cap, the largest k with a nonempty
+common-neighbour core (no balanced biclique is larger; see
+``graphs.common_neighbour_cores``).  Because the relaxation's mass rows are
 equalities, feasibility is not a priori monotone in k, so the search is a
 descending scan one k at a time: its first feasible k is the largest feasible
 k in range, and no k below it is solved.  Each k is solved first on its
-(k,k)-core, and on the whole graph when the core does not give a certificate.
+common-neighbour core, and on the whole graph when the core does not give a
+certificate.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .graphs import (
     RNG_ALGORITHM,
     BipartiteGraph,
     Biclique,
+    common_neighbour_cores,
     complete_bipartite,
     empty_bipartite,
     induced_subgraph,
-    kk_cores,
     parse_graph,
     planted_instance,
     verify_biclique,
@@ -203,10 +205,11 @@ class _KSearch:
     """Feasibility tester that records one entry, and the wall-clock seconds
     of its builds and solves, per solved k.
 
-    Each k is solved first on the graph's (k,k)-core.  A feasible core Gram
-    is padded with zeros: a removed vertex then reads 0 = 0 on its norm-link
-    and degree rows, and a kept vertex's rows lose only zero terms.  The
-    padded Gram is accepted only when it passes ``check_feasibility`` on the
+    Each k is solved first on ``cores[k - 1]``, an induced subgraph that
+    holds every balanced k-biclique (the pipeline passes the common-neighbour
+    cores).  A feasible core Gram is padded with zeros: a removed vertex
+    then reads 0 = 0 on its norm-link and degree rows, and a kept vertex's
+    rows lose only zero terms, whatever subgraph was removed.  The padded Gram is accepted only when it passes ``check_feasibility`` on the
     whole graph's strong relaxation.  Any other core outcome, or a core that
     is the whole graph, solves the whole graph, so every k the whole-graph
     solve calls feasible is still called feasible.
@@ -306,7 +309,7 @@ def approximate_mbb(
     timings: dict = {}
 
     t0 = time.perf_counter()
-    cores = kk_cores(graph)
+    cores = common_neighbour_cores(graph)
     # A scan's first feasible k is the largest, so it meets no non-monotone
     # anomaly; the key stays in the report's schema, always empty.
     search_meta: dict = {"per_k": [], "k_star": None, "anomalies": [], "core_cap": len(cores)}

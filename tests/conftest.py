@@ -32,6 +32,36 @@ PLANTED_CASES = [
 SOLVE_EPS = 1e-8
 
 
+def reference_peel(adj, k, partners=True, pick=min):
+    """Core of the 0/1 matrix ``adj`` at k, deleting one vertex at a time.
+
+    A vertex fails with fewer than k neighbours on the other side or, when
+    ``partners`` is set, with fewer than k - 1 other vertices on its own
+    side sharing at least k of those neighbours; ``partners=False`` gives the
+    plain (k,k)-core.  While a U-vertex fails, ``pick`` chooses which failing
+    U-vertex goes; only then V-vertices.  Returns the sorted survivors.
+    """
+    sides = (set(range(adj.shape[0])), set(range(adj.shape[1])))
+    views = (adj, adj.T)
+
+    def fails(side, u):
+        view = views[side]
+        nbrs = [w for w in sides[1 - side] if view[u, w]]
+        if len(nbrs) < k or not partners:
+            return len(nbrs) < k
+        mates = [v for v in sides[side] if v != u and sum(view[v, w] for w in nbrs) >= k]
+        return len(mates) < k - 1
+
+    while True:
+        for side in (0, 1):
+            weak = [u for u in sorted(sides[side]) if fails(side, u)]
+            if weak:
+                sides[side].remove(pick(weak))
+                break
+        else:
+            return sorted(sides[0]), sorted(sides[1])
+
+
 @dataclass
 class SolvedCase:
     n: int

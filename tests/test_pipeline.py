@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import PLANTED_CASES
+from conftest import PLANTED_CASES, reference_peel
 
 from mbb_sdp import (
     FEASIBLE,
@@ -14,12 +14,12 @@ from mbb_sdp import (
     approximate_mbb,
     build_strong_relaxation,
     check_feasibility,
+    common_neighbour_cores,
     complete_bipartite,
     empty_bipartite,
     exact_mbb,
     greedy_baseline,
     induced_subgraph,
-    kk_cores,
     new_bipartite,
     planted_instance,
     run_experiment,
@@ -70,7 +70,7 @@ def test_baseline_never_beats_exact():
 
 
 def core_cap(graph):
-    return len(kk_cores(graph))
+    return len(common_neighbour_cores(graph))
 
 
 def test_core_cap_bounds():
@@ -128,15 +128,29 @@ def test_scan_descending_on_every_small_verdict_set():
                 _check_scan(feasible_ks, k_lo, k_hi)
 
 
+def plain_cores(graph):
+    """The nonempty plain (k,k)-cores for k = 1, 2, ..., from the reference peel."""
+    adj = graph.dense()
+    cores = []
+    for k in range(1, min(adj.shape) + 1):
+        left, right = reference_peel(adj, k, partners=False)
+        if not left:
+            break
+        cores.append((np.array(left, dtype=np.intp), np.array(right, dtype=np.intp)))
+    return cores
+
+
 def test_core_solves_are_certified_on_the_whole_graph():
-    # conftest's planted instances, plus a dense graph whose cores above k*
-    # are nonempty and come back infeasible
+    # conftest's planted instances, plus a dense graph whose plain (k,k)-cores
+    # above k* are nonempty and come back infeasible.  The search is fed the
+    # plain cores so that the whole-graph fallback stays exercised: the
+    # common-neighbour cap of that graph is its k*.
     graphs = [planted_instance(n, k, p, seed=1000 + n)[0] for n, k, p in PLANTED_CASES]
     graphs.append(planted_instance(20, 4, 0.4, seed=0)[0])
     config = PipelineConfig()
     fallbacks = 0
     for g in graphs:
-        cores = kk_cores(g)
+        cores = plain_cores(g)
         searcher = pipeline_module._KSearch(g, config, cores)
         assert pipeline_module._scan_descending(searcher, 1, len(cores)) is not None
         for rec in searcher.per_k():
@@ -157,6 +171,24 @@ def test_core_solves_are_certified_on_the_whole_graph():
                 assert rec["status"] == solve_feasibility(whole, config.solver).status
                 fallbacks += proper
     assert fallbacks == 2  # k = 5 and 6 on (20, 4, 0.4)
+
+
+def test_dense_planted_graph_solves_once_on_its_common_neighbour_core():
+    # the plain (k,k)-core cap is 6 here, and k = 5 and 6 are infeasible
+    g, _ = planted_instance(20, 4, 0.4, seed=0)
+    _, report = approximate_mbb(g)
+    assert report.search["core_cap"] == report.search["k_star"] == 4
+    (row,) = report.search["per_k"]
+    assert (row["k"], row["solved_on"], row["core"], row["status"]) == (4, "core", [17, 19], FEASIBLE)
+
+
+@pytest.mark.parametrize("n, k, p", [(48, 8, 0.3), (64, 8, 0.3), (64, 12, 0.4)])
+def test_noisy_planted_graph_solves_once_on_the_planted_block(n, k, p):
+    g, _ = planted_instance(n, k, p, seed=0)
+    _, report = approximate_mbb(g)
+    assert report.search["core_cap"] == k
+    assert len(report.search["per_k"]) == 1
+    assert report.search["k_star"] >= exact_mbb(g, size_limit=64).size
 
 
 def test_config_validation():
