@@ -1,4 +1,11 @@
-"""Exact maximum balanced biclique by branch and bound, for small instances."""
+"""Exact maximum balanced biclique by witness search, for small instances.
+
+One depth-first search answers both questions: the first ``target`` bitsets,
+in index order, that share at least ``target`` set bits.  Such a witness
+exists iff a balanced ``target``-biclique does, so scanning targets upward on
+the smaller side finds the optimum, and one more search on the left rows
+realizes it with the documented tie-break.
+"""
 
 from __future__ import annotations
 
@@ -27,42 +34,7 @@ def _smaller_side(graph: BipartiteGraph) -> tuple[Sequence[int], int]:
     return (cols, graph.n_u) if graph.n_v < graph.n_u else (rows, graph.n_v)
 
 
-def _best_size(masks: Sequence[int], width: int) -> int:
-    """Largest s such that some s of the bitsets ``masks``, each over
-    ``width`` bits, share at least s set bits.
-
-    Depth-first search over mask subsets in decreasing-degree order.  At a
-    node with chosen set S and common bits N, no descendant can beat
-    min(|S| + remaining candidates, |N|).
-    """
-    a = len(masks)
-    if a == 0 or width == 0:
-        return 0
-    order = sorted(range(a), key=lambda i: (-masks[i].bit_count(), i))
-    full = (1 << width) - 1
-    best = 0
-
-    def visit(start: int, s_size: int, hood: int) -> None:
-        nonlocal best
-        here = min(s_size, hood.bit_count())
-        if here > best:
-            best = here
-        for pos in range(start, a):
-            if min(s_size + (a - pos), hood.bit_count()) <= best:
-                break
-            child = hood & masks[order[pos]]
-            size = child.bit_count()
-            if size == 0:
-                continue
-            if min(s_size + 1 + (a - pos - 1), size) <= best:
-                continue
-            visit(pos + 1, s_size + 1, child)
-
-    visit(0, 0, full)
-    return best
-
-
-def _lex_smallest_left(masks: Sequence[int], width: int, target: int) -> tuple[list[int], int] | None:
+def _first_witness(masks: Sequence[int], width: int, target: int) -> tuple[list[int], int] | None:
     """First size-``target`` set of the bitsets ``masks`` (each over
     ``width`` bits), in lexicographic order of indices, that shares at least
     ``target`` set bits, with those common bits; None when there is none."""
@@ -97,18 +69,21 @@ def exact_mbb(graph: BipartiteGraph, size_limit: int | None = None) -> Biclique:
     """Maximum balanced biclique, exactly.
 
     Exponential-time search guarded to min-side <= 24 unless ``size_limit``
-    overrides.  Ties among maximum bicliques are broken by the
+    overrides.  The size is the last target 1, 2, ... at which the smaller
+    side has a witness (witnesses exist for every target up to the optimum
+    and none above it).  Ties among maximum bicliques are broken by the
     lexicographically smallest sorted left set, then the lowest-index right
     realization, so results are deterministic.
     """
     _check_guard(graph, size_limit)
-    if graph.num_edges == 0:
-        return Biclique.empty()
-    size = _best_size(*_smaller_side(graph))
+    masks, width = _smaller_side(graph)
+    size = 0
+    while _first_witness(masks, width, size + 1) is not None:
+        size += 1
     if size == 0:
         return Biclique.empty()
     # Realize it with the tie-break defined on the original left side.
-    found = _lex_smallest_left(graph.bitsets()[0], graph.n_v, size)
+    found = _first_witness(graph.bitsets()[0], graph.n_v, size)
     if found is None:
         raise RuntimeError("no realization found at the optimal size; search is inconsistent")
     left, hood = found
@@ -128,4 +103,4 @@ def contains_biclique(graph: BipartiteGraph, r: int, size_limit: int | None = No
     _check_guard(graph, size_limit)
     if r > min(graph.n_u, graph.n_v):
         return False
-    return _lex_smallest_left(*_smaller_side(graph), r) is not None
+    return _first_witness(*_smaller_side(graph), r) is not None

@@ -62,12 +62,6 @@ class BipartiteGraph:
         self._edge_cache: frozenset[tuple[int, int]] | None = None
         self._bitset_cache: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-    def adj(self, i: int, j: int) -> bool:
-        """Constant-time adjacency query for U-vertex i and V-vertex j."""
-        if not (0 <= i < self.n_u and 0 <= j < self.n_v):
-            raise IndexError(f"vertex pair ({i}, {j}) out of range")
-        return bool(self._adj[i, j])
-
     def dense(self) -> np.ndarray:
         """Read-only boolean adjacency matrix, shape (n_u, n_v)."""
         return self._adj
@@ -93,23 +87,6 @@ class BipartiteGraph:
     @property
     def num_non_edges(self) -> int:
         return self.n_u * self.n_v - self.num_edges
-
-    def degrees_left(self) -> np.ndarray:
-        return self._adj.sum(axis=1)
-
-    def degrees_right(self) -> np.ndarray:
-        return self._adj.sum(axis=0)
-
-    def neighbors_left(self, i: int) -> np.ndarray:
-        """Sorted V-indices adjacent to U-vertex i."""
-        if not 0 <= i < self.n_u:
-            raise IndexError(f"U-vertex {i} out of range")
-        return np.flatnonzero(self._adj[i])
-
-    def neighbors_right(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.n_v:
-            raise IndexError(f"V-vertex {j} out of range")
-        return np.flatnonzero(self._adj[:, j])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):

@@ -86,7 +86,6 @@ class RoundingParams:
     tau: float
     trials: int
     heavy_threshold: float
-    alpha: float = ALPHA_DEFAULT
     seed: int = 0
     tau_clamped: bool = False
 
@@ -105,7 +104,6 @@ class RoundingParams:
         k: float,
         trials: int | None = None,
         seed: int = 0,
-        alpha: float = ALPHA_DEFAULT,
         tau: float | None = None,
     ) -> "RoundingParams":
         if k <= 0 or k > n:
@@ -117,7 +115,6 @@ class RoundingParams:
             tau=tau,
             trials=default_trials(n) if trials is None else int(trials),
             heavy_threshold=1.0 / (8.0 * ratio),
-            alpha=float(alpha),
             seed=int(seed),
             tau_clamped=clamped,
         )
@@ -178,15 +175,15 @@ def heavy_sets(
 
 
 def _shifted_members(
-    solution: VectorSolution, left_members: np.ndarray, right_members: np.ndarray, alpha: float
+    solution: VectorSolution, left_members: np.ndarray, right_members: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Member vectors u (left, then right), their masses c, the shifted
-    vectors u - alpha c e and the squared norms of those."""
+    vectors u - ALPHA_DEFAULT c e and the squared norms of those."""
     n_u = solution.sides[0]
     rows = np.concatenate([left_members, n_u + right_members]).astype(int)
     vectors = solution.vectors[rows]
     masses = vectors @ solution.anchor
-    shifted = vectors - alpha * np.outer(masses, solution.anchor)
+    shifted = vectors - ALPHA_DEFAULT * np.outer(masses, solution.anchor)
     return vectors, masses, shifted, np.einsum("ij,ij->i", shifted, shifted)
 
 
@@ -221,10 +218,9 @@ def shift_vectors(
     solution: VectorSolution,
     left_members,
     right_members,
-    alpha: float = ALPHA_DEFAULT,
     identity_tol: float = 1e-9,
 ) -> np.ndarray:
-    """Shift members against the anchor and normalize: u' = u - alpha c e.
+    """Shift members against the anchor and normalize: u' = u - ALPHA_DEFAULT c e.
 
     Verifies the exact shift algebra <u'_i, u'_j> = <u_i, u_j> - c_i c_j / 2
     on all member pairs and the norm identity |u'_i|^2 = c_i (1 - c_i / 2),
@@ -235,7 +231,7 @@ def shift_vectors(
         raise ValueError("solution carries no (n_u, n_v) split; use with_sides first")
     left_members = np.asarray(list(left_members), dtype=int)
     right_members = np.asarray(list(right_members), dtype=int)
-    return _unit_shifted(*_shifted_members(solution, left_members, right_members, alpha), identity_tol)
+    return _unit_shifted(*_shifted_members(solution, left_members, right_members), identity_tol)
 
 
 def gaussian_threshold(
@@ -267,7 +263,7 @@ class _Prepared:
 
 def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     left, right = heavy_sets(solution, params.ratio, params.heavy_threshold)
-    vectors, masses, shifted, norms_sq = _shifted_members(solution, left, right, params.alpha)
+    vectors, masses, shifted, norms_sq = _shifted_members(solution, left, right)
     keep = norms_sq >= _DEGENERATE_NORM**2
     n_left = left.size
     dropped = tuple(

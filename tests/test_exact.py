@@ -47,13 +47,29 @@ def test_small_fixed_cases():
     assert exact_mbb(g2).size == 2
 
 
+def brute_force_tie_break(graph, size):
+    """The first size-``size`` left subset, in lexicographic order, with at
+    least ``size`` common neighbours, and its ``size`` lowest ones."""
+    dense = graph.dense()
+    for subset in combinations(range(graph.n_u), size):
+        hood = np.flatnonzero(dense[list(subset)].all(axis=0))
+        if hood.size >= size:
+            return subset, tuple(int(j) for j in hood[:size])
+    raise AssertionError(f"no left subset of size {size} has {size} common neighbours")
+
+
 def test_matches_brute_force_on_random_graphs():
+    """The size search and the realization are separate searches; brute
+    force checks the size, and the tie-break of the biclique realizing it."""
     rng = np.random.default_rng(23)
     for _ in range(120):
         g = random_graph(rng)
         found = exact_mbb(g)
-        assert found.size == brute_force_size(g)
+        opt = brute_force_size(g)
+        assert found.size == opt
         assert verify_biclique(g, found.left, found.right)
+        if opt:
+            assert (found.left, found.right) == brute_force_tie_break(g, opt)
 
 
 def test_planted_block_is_found_without_background():
@@ -93,25 +109,27 @@ def test_contains_biclique_consistent_with_exact():
 
 
 def test_searches_enumerate_the_smaller_side(monkeypatch):
-    """The size search and the decision search walk the smaller side's
+    """The size scan and the decision search walk the smaller side's
     bitsets; only the realization walks the left side, for its tie-break."""
     seen = []
-    for name in ("_best_size", "_lex_smallest_left"):
-        def spy(masks, width, *rest, real=getattr(exact_module, name), name=name):
-            seen.append((name, masks, width))
-            return real(masks, width, *rest)
+    real = exact_module._first_witness
 
-        monkeypatch.setattr(exact_module, name, spy)
+    def spy(masks, width, target):
+        seen.append((masks, width, target))
+        return real(masks, width, target)
+
+    monkeypatch.setattr(exact_module, "_first_witness", spy)
     tall = new_bipartite(5, 3, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 0), (4, 2)])
     wide = new_bipartite(3, 5, [(j, i) for i, j in tall.edges])
     for graph, smaller in ((tall, tall.bitsets()[1]), (wide, wide.bitsets()[0])):
         rows = graph.bitsets()[0]
         seen.clear()
         assert exact_mbb(graph).size == 2
-        assert seen == [("_best_size", smaller, 5), ("_lex_smallest_left", rows, graph.n_v)]
+        # targets 1 .. OPT + 1 on the smaller side, then OPT on the left rows
+        assert seen == [(smaller, 5, 1), (smaller, 5, 2), (smaller, 5, 3), (rows, graph.n_v, 2)]
         seen.clear()
         assert contains_biclique(graph, 2) and not contains_biclique(graph, 3)
-        assert seen == [("_lex_smallest_left", smaller, 5)] * 2
+        assert seen == [(smaller, 5, 2), (smaller, 5, 3)]
 
 
 def test_size_guard_blocks_large_instances():

@@ -41,8 +41,9 @@ def test_constructor_rejects_out_of_range_edges():
 def test_duplicate_edges_collapse():
     g = new_bipartite(2, 2, [(0, 1), (0, 1), (1, 0)])
     assert g.num_edges == 2
-    assert g.adj(0, 1) and g.adj(1, 0)
-    assert not g.adj(0, 0)
+    dense = g.dense()
+    assert dense[0, 1] and dense[1, 0]
+    assert not dense[0, 0]
 
 
 def test_complete_and_empty_counts():
@@ -52,19 +53,6 @@ def test_complete_and_empty_counts():
     e = empty_bipartite(3, 4)
     assert e.num_edges == 0
     assert e.num_non_edges == 12
-
-
-def test_degrees_and_neighbors_agree_with_dense():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        g = random_graph(rng)
-        dense = g.dense()
-        assert np.array_equal(g.degrees_left(), dense.sum(axis=1))
-        assert np.array_equal(g.degrees_right(), dense.sum(axis=0))
-        for i in range(g.n_u):
-            assert list(g.neighbors_left(i)) == list(np.flatnonzero(dense[i]))
-        for j in range(g.n_v):
-            assert list(g.neighbors_right(j)) == list(np.flatnonzero(dense[:, j]))
 
 
 def test_serialize_parse_round_trip():
@@ -151,7 +139,7 @@ def test_induced_counts_against_brute_force():
         left = [int(i) for i in np.flatnonzero(rng.random(g.n_u) < 0.5)]
         right = [int(j) for j in np.flatnonzero(rng.random(g.n_v) < 0.5)]
         edges, non_edges = induced_counts(g, left, right)
-        brute = sum(1 for i in left for j in right if g.adj(i, j))
+        brute = sum(1 for i in left for j in right if g.dense()[i, j])
         assert edges == brute
         assert non_edges == len(left) * len(right) - brute
 
@@ -162,5 +150,6 @@ def test_induced_subgraph_relabels():
     assert left_ids == (0, 2) and right_ids == (1, 3)
     assert sub.n_u == 2 and sub.n_v == 2
     # (0,3) -> (0,1); (2,1) -> (1,0); (2,3) -> (1,1)
-    assert sub.adj(0, 1) and sub.adj(1, 0) and sub.adj(1, 1)
-    assert not sub.adj(0, 0)
+    dense = sub.dense()
+    assert dense[0, 1] and dense[1, 0] and dense[1, 1]
+    assert not dense[0, 0]
