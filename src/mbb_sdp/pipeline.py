@@ -40,7 +40,7 @@ from .graphs import (
     planted_instance,
     verify_biclique,
 )
-from .rounding import RoundingParams, RoundingRun, diagnostics, round_many
+from .rounding import RoundingParams, RoundingRun, check_seed_and_trials, diagnostics, round_many
 from .sdp import (
     FeasibilityOutcome,
     GramMatrix,
@@ -103,6 +103,7 @@ class PipelineConfig:
             raise ValueError("k_lo must be at least 1")
         if self.k_hi is not None and self.k_hi < self.k_lo:
             raise ValueError("k_hi must be at least k_lo")
+        check_seed_and_trials(self.seed, self.trials)
 
 
 @dataclass

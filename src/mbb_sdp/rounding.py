@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
 from .extraction import extract_bits, extractable_r
-from .gaussian import std_normal_pdf
+from .gaussian import seeded_normals, std_normal_pdf
 from .graphs import BipartiteGraph, Biclique, bit_mask
 from .sdp import VectorSolution
 
-# The per-trial path no longer calls these, but they stay importable from this
-# module: bench/tracing.py wraps them here by name.
+# The per-trial path no longer calls these (nor gaussian_threshold), but they
+# stay importable from this module: bench/tracing.py wraps them here by name.
 from .extraction import best_extractable_r, greedy_extract  # noqa: F401
 from .graphs import induced_counts, induced_subgraph  # noqa: F401
 
@@ -44,6 +44,7 @@ __all__ = [
     "round_once",
     "round_many",
     "diagnostics",
+    "check_seed_and_trials",
 ]
 
 ALPHA_DEFAULT = 1.0 - 1.0 / math.sqrt(2.0)
@@ -51,6 +52,13 @@ TAU_FLOOR = 0.5
 # Analysis constant in the headline guarantee n^(1/(D t)); reported, never asserted.
 GUARANTEE_D = 1000.0
 _DEGENERATE_NORM = 1e-12
+# Trial t draws from default_rng((seed, t)); gaussian.seeded_normals replays
+# that seeding while t is one 32-bit entropy word.
+_MAX_TRIALS = 2**32
+# Trials drawn and multiplied together in round_many.  Per trial, blocks of
+# 128 and 256 cost about the same and 32 half again as much; a larger block
+# only raises peak memory.
+_BLOCK = 256
 
 
 def default_tau(n: int) -> tuple[float, bool]:
@@ -71,6 +79,15 @@ def _resolve_tau(n: int, tau: float | None) -> tuple[float, bool]:
 
 def default_trials(n: int) -> int:
     return min(n**3, 10_000)
+
+
+def check_seed_and_trials(seed: int, trials: int | None) -> None:
+    """Reject a negative seed and a trial count outside [1, 2**32];
+    trials=None stands for the default count."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if trials is not None and not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must lie in [1, 2**32], got {trials}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +111,7 @@ class RoundingParams:
             raise ValueError("ratio must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.trials < 1:
-            raise ValueError("at least one trial is required")
+        check_seed_and_trials(self.seed, self.trials)
 
     @classmethod
     def for_instance(
@@ -240,7 +256,11 @@ def gaussian_threshold(
     """One shared Gaussian draw; keep members whose projection reaches tau."""
     if unit_vectors.ndim != 2:
         raise ValueError("expected a (members, dim) matrix of unit vectors")
-    g = rng.standard_normal(unit_vectors.shape[1])
+    return _cut(unit_vectors, rng.standard_normal(unit_vectors.shape[1]), tau)
+
+
+def _cut(unit_vectors: np.ndarray, g: np.ndarray, tau: float) -> np.ndarray:
+    """Members whose projection on g reaches tau, one matrix-vector product."""
     return (unit_vectors @ g) >= tau
 
 
@@ -282,11 +302,39 @@ def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     return _Prepared(left, right, unit, dropped, r_target)
 
 
-def _draw(prepared: _Prepared, params: RoundingParams, rng: np.random.Generator) -> np.ndarray:
-    """One trial's survivor mask over the members, left then right."""
-    if prepared.unit_vectors.shape[0]:
-        return gaussian_threshold(prepared.unit_vectors, params.tau, rng)
-    return np.zeros(0, dtype=bool)
+def _survivor_masks(prepared: _Prepared, params: RoundingParams):
+    """Each trial's survivor mask over the members, left then right, in
+    trial order, _BLOCK trials at a time; with no members every mask is
+    empty."""
+    unit = prepared.unit_vectors
+    if not unit.shape[0]:
+        yield from repeat(np.zeros(0, dtype=bool), params.trials)
+        return
+    for start in range(0, params.trials, _BLOCK):
+        yield from _block_masks(unit, params.tau, params.seed, start, min(start + _BLOCK, params.trials))
+
+
+def _block_masks(unit: np.ndarray, tau: float, seed: int, start: int, stop: int) -> np.ndarray:
+    """Survivor masks of trials start..stop-1: trial t cuts
+    default_rng((seed, t)).standard_normal(dim) at tau, exactly as
+    gaussian_threshold does.
+
+    The block's draws are multiplied by one matrix product.  That product
+    and gaussian_threshold's matrix-vector product each lie within about
+    dim eps |g| / 2 of the exact inner product of g with a unit vector,
+    whatever their summation order, so a trial with an entry within
+    4 dim eps |g| of tau is recut by _cut on a fresh copy of its row, and no
+    other entry can fall on the other side of tau.  Only the masks outlive
+    the call, so the draws are freed before any trial is scored.
+    """
+    dim = unit.shape[1]
+    draws = seeded_normals(seed, start, stop, dim)
+    products = draws @ unit.T
+    masks = products >= tau
+    margin = 4.0 * dim * np.finfo(float).eps * np.sqrt(np.einsum("ij,ij->i", draws, draws))
+    for i in np.flatnonzero((np.abs(products - tau) <= margin[:, None]).any(axis=1)):
+        masks[i] = _cut(unit, draws[i].copy(), tau)
+    return masks
 
 
 class _Evaluator:
@@ -363,7 +411,11 @@ def round_once(
     prepared = _prepare(solution, params)
     if rng is None:
         rng = np.random.default_rng((params.seed, 0))
-    return _Evaluator(prepared, graph)(_draw(prepared, params, rng))
+    if prepared.unit_vectors.shape[0]:
+        mask = gaussian_threshold(prepared.unit_vectors, params.tau, rng)
+    else:
+        mask = np.zeros(0, dtype=bool)
+    return _Evaluator(prepared, graph)(mask)
 
 
 def round_many(
@@ -371,11 +423,14 @@ def round_many(
 ) -> RoundingRun:
     """Run params.trials independent trials and keep the largest verified biclique.
 
-    Trial t draws from default_rng((seed, t)) with its own Gaussian product,
+    Trial t thresholds the Gaussian default_rng((seed, t)).standard_normal(dim),
     so any execution order, or a parallel split, produces the same outcome
-    set; ties on size keep the earliest trial.  An outcome depends only on
-    the trial's survivor mask, so scoring and extraction run once per
-    distinct mask and repeats reuse that outcome.
+    set; ties on size keep the earliest trial.  The draws are computed a
+    block of trials at a time (gaussian.seeded_normals, checked against
+    numpy's own seeding) and multiplied together, with every mask equal to
+    round_once's under that trial's generator (see _survivor_masks).  An
+    outcome depends only on the trial's survivor mask, so scoring and
+    extraction run once per distinct mask and repeats reuse that outcome.
     """
     _check_match(solution, graph)
     prepared = _prepare(solution, params)
@@ -383,8 +438,7 @@ def round_many(
     memo: dict[bytes, TrialOutcome] = {}
     outcomes = []
     best: Biclique | None = None
-    for trial in range(params.trials):
-        mask = _draw(prepared, params, np.random.default_rng((params.seed, trial)))
+    for mask in _survivor_masks(prepared, params):
         key = mask.tobytes()
         outcome = memo.get(key)
         if outcome is None:

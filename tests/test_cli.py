@@ -248,6 +248,18 @@ def test_pipeline_command(tmp_path, capsys):
     assert "timings" in json.loads(out)
 
 
+def test_pipeline_rejects_bad_rounding_settings_before_searching(tmp_path, capsys, monkeypatch):
+    path = make_planted_file(tmp_path, capsys)
+    searched = []
+    monkeypatch.setattr("mbb_sdp.cli.approximate_mbb", lambda *args: searched.append(args))
+    for flag, value, field in (("--seed", "-1", "seed"), ("--trials", "0", "trials")):
+        rc, out, err = run_cli(capsys, "pipeline", "--input", str(path), flag, value)
+        assert rc == 1
+        assert out == ""
+        assert f"mbb: error: {field} must" in err
+    assert searched == []
+
+
 def test_bench_command(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mbb_sdp import gaussian as gaussian_module
+from mbb_sdp.gaussian import pcg64_states, seeded_normals
 from mbb_sdp import (
     TailBounds,
     bivariate_tail_lower,
@@ -134,3 +136,43 @@ def test_monte_carlo_brackets_univariate_tail():
     bounds = univariate_tail_bounds(tau)
     se = math.sqrt(estimate * (1 - estimate) / z.size)
     assert bounds.lower - 3 * se <= estimate <= bounds.upper + 3 * se
+
+
+# 2**32 - 1 and 2**32 straddle the one-word/two-word entropy split of a seed;
+# 2**70 + 3 takes three words, and 2**100 + 7 four, which pushes t's word
+# past SeedSequence's 4-word pool.
+MULTI_WORD_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**70 + 3, 2**100 + 7)
+
+
+@pytest.mark.parametrize("seed", MULTI_WORD_SEEDS)
+def test_pcg64_states_equal_numpy_seeding(seed):
+    for start, stop in ((0, 3), (250, 262), (2**32 - 2, 2**32)):
+        states = pcg64_states(seed, start, stop)
+        assert len(states) == stop - start
+        for t, (state, inc) in zip(range(start, stop), states):
+            expected = np.random.default_rng((seed, t)).bit_generator.state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"])
+
+
+@pytest.mark.parametrize("seed", MULTI_WORD_SEEDS)
+def test_seeded_normals_equal_per_trial_generators_bit_for_bit(seed):
+    rows = seeded_normals(seed, 254, 259, 7)
+    assert rows.shape == (5, 7)
+    for t, row in zip(range(254, 259), rows):
+        assert row.tobytes() == np.random.default_rng((seed, t)).standard_normal(7).tobytes()
+    assert seeded_normals(seed, 4, 4, 7).shape == (0, 7)
+
+
+def test_pcg64_states_reject_what_they_cannot_replay():
+    with pytest.raises(ValueError, match="seed"):
+        pcg64_states(-1, 0, 1)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        pcg64_states(0, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError):
+        pcg64_states(0, 5, 4)
+
+
+def test_seeded_normals_raise_when_the_replayed_seeding_drifts(monkeypatch):
+    monkeypatch.setattr(gaussian_module, "_PCG64_MULT", gaussian_module._PCG64_MULT + 2)
+    with pytest.raises(RuntimeError, match="seed=3, t=256"):
+        seeded_normals(3, 256, 300, 4)

@@ -196,6 +196,13 @@ def test_config_validation():
         PipelineConfig(k_lo=0)
     with pytest.raises(ValueError):
         PipelineConfig(k_lo=3, k_hi=2)
+    with pytest.raises(ValueError, match="seed"):
+        PipelineConfig(seed=-1)
+    with pytest.raises(ValueError, match="trials"):
+        PipelineConfig(trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        PipelineConfig(trials=2**32 + 1)
+    assert PipelineConfig(trials=None).trials is None
 
 
 def test_pipeline_on_pure_planted_block():

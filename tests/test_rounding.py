@@ -64,6 +64,13 @@ def test_params_validation():
         RoundingParams(ratio=2.0, tau=0.0, trials=1, heavy_threshold=0.1)
     with pytest.raises(ValueError):
         RoundingParams(ratio=2.0, tau=0.5, trials=0, heavy_threshold=0.1)
+    with pytest.raises(ValueError, match="trials"):
+        RoundingParams(ratio=2.0, tau=0.5, trials=2**32 + 1, heavy_threshold=0.1)
+    with pytest.raises(ValueError, match="seed"):
+        RoundingParams(ratio=2.0, tau=0.5, trials=1, heavy_threshold=0.1, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        RoundingParams.for_instance(8, 2, seed=-1)
+    assert RoundingParams(ratio=2.0, tau=0.5, trials=2**32, heavy_threshold=0.1).trials == 2**32
 
 
 def test_params_for_instance():
@@ -410,3 +417,76 @@ def test_round_many_bytes_pinned(solved_planted):
     run = round_many(sol, case.graph, RoundingParams.for_instance(case.n, case.k))
     assert run.distinct_sets == 209
     assert _run_digest(run) == "8ee84845339d3e9926abfefade0f2fbcbd2439fa775293ca98059ada94f1d39d"
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70 + 3])
+def test_round_many_draws_each_trials_own_gaussian_across_blocks(seed, monkeypatch):
+    n, k = 8, 2
+    graph, planted = planted_instance(n, k, 0.2, seed=5)
+    sol = indicator_solution(n, planted.biclique.left, planted.biclique.right)
+    block = rounding_module._BLOCK
+    params = RoundingParams.for_instance(n, k, trials=2 * block + 3, seed=seed)
+    drawn = []
+    draw = rounding_module.seeded_normals
+
+    def recording(seed, start, stop, dim):
+        rows = draw(seed, start, stop, dim)
+        drawn.append((start, stop, rows.copy()))
+        return rows
+
+    monkeypatch.setattr(rounding_module, "seeded_normals", recording)
+    run = round_many(sol, graph, params)
+    assert [(start, stop) for start, stop, _ in drawn] == [(0, block), (block, 2 * block), (2 * block, 2 * block + 3)]
+    rows = np.concatenate([r for _, _, r in drawn])
+    for t in (0, 1, block - 1, block, 2 * block - 1, 2 * block, 2 * block + 2):
+        assert rows[t].tobytes() == np.random.default_rng((seed, t)).standard_normal(sol.dim).tobytes()
+        assert run.outcomes[t] == round_once(sol, graph, params, rng=np.random.default_rng((seed, t)))
+
+
+def test_round_many_recuts_a_trial_whose_product_sits_on_tau(solved_planted, monkeypatch):
+    case = next(c for c in solved_planted if (c.n, c.p) == (8, 0.2))
+    sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+    params = RoundingParams.for_instance(case.n, case.k, trials=40, seed=3)
+    unit = rounding_module._prepare(sol, params).unit_vectors
+    t = 17
+    g = np.random.default_rng((params.seed, t)).standard_normal(sol.dim)
+    products = unit @ g
+    member = int(products.argmax())
+    assert products[member] > 0
+    # tau equal to a product trial t computes: the member survives on >=, and
+    # the block product may round either way, so the trial must be recut
+    params = dataclasses.replace(params, tau=float(products[member]))
+    prepared = rounding_module._prepare(sol, params)
+    assert np.array_equal(prepared.unit_vectors, unit)
+    recut = []
+    cut = rounding_module._cut
+
+    def spying(unit_vectors, row, tau):
+        recut.append(row.copy())
+        return cut(unit_vectors, row, tau)
+
+    monkeypatch.setattr(rounding_module, "_cut", spying)
+    run = round_many(sol, case.graph, params)
+    assert any(row.tobytes() == g.tobytes() for row in recut)
+    assert len(recut) < params.trials
+    expected = round_once(sol, case.graph, params, rng=np.random.default_rng((params.seed, t)))
+    assert run.outcomes[t] == expected
+    members = [("U", int(i)) for i in prepared.left_members] + [("V", int(j)) for j in prepared.right_members]
+    survivors = [("U", i) for i in expected.left_survivors] + [("V", j) for j in expected.right_survivors]
+    assert members[member] in survivors
+
+
+def test_round_many_without_members_draws_nothing(monkeypatch):
+    n, k = 8, 2
+    graph, _ = planted_instance(n, k, 0.2, seed=5)
+    sol = indicator_solution(n, range(k), range(k))
+    trials = rounding_module._BLOCK + 7
+    # no vertex reaches a mass threshold of 2, so no trial has a member
+    params = RoundingParams(ratio=4.0, tau=0.5, trials=trials, heavy_threshold=2.0, seed=1)
+    monkeypatch.setattr(rounding_module, "seeded_normals", None)
+    run = round_many(sol, graph, params)
+    assert len(run.outcomes) == trials
+    assert run.distinct_sets == 1
+    assert run.best is None
+    assert all(o.left_survivors == () and o.right_survivors == () for o in run.outcomes)
+    assert run.outcomes[0] == round_once(sol, graph, params)
