@@ -73,12 +73,9 @@ def _emit_json(obj, output: str | None) -> None:
 
 
 def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "eps_feas", None) is not None:
-        cfg.eps_feas = args.eps_feas
-    if getattr(args, "max_iterations", None) is not None:
-        cfg.max_iterations = args.max_iterations
-    return cfg
+    """SolverConfig from --eps-feas and --max-iterations; an omitted flag keeps its default."""
+    flags = {"eps_feas": args.eps_feas, "max_iterations": args.max_iterations}
+    return SolverConfig(**{name: value for name, value in flags.items() if value is not None})
 
 
 def _cmd_generate(args) -> int:
@@ -96,12 +93,13 @@ def _cmd_generate(args) -> int:
                 },
                 args.certificate,
             )
-    elif args.type == "empty":
-        graph = empty_bipartite(args.n_u or args.n, args.n_v or args.n)
-    elif args.type == "complete":
-        graph = complete_bipartite(args.n_u or args.n, args.n_v or args.n)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {args.type!r}")
+    else:
+        n_u = args.n if args.n_u is None else args.n_u
+        n_v = args.n if args.n_v is None else args.n_v
+        if n_u is None or n_v is None:
+            raise ValueError(f"{args.type} generator needs --n, or --n-u and --n-v")
+        build = empty_bipartite if args.type == "empty" else complete_bipartite
+        graph = build(n_u, n_v)
     _emit_text(serialize_graph(graph), args.output)
     return 0
 
@@ -150,7 +148,7 @@ def _cmd_round(args) -> int:
         n, args.k, trials=args.trials, seed=args.seed, tau=args.tau
     )
     run = round_many(solution, graph, params)
-    diag = diagnostics(solution, graph, params.ratio, tau=args.tau)
+    diag = diagnostics(solution, graph, params)
     payload = {
         "k": args.k,
         "trials": params.trials,
@@ -198,13 +196,12 @@ def _cmd_extract(args) -> int:
 def _cmd_pipeline(args) -> int:
     graph = _load_graph(args.input)
     config = PipelineConfig(
+        k_hi=args.k_hi,
         solver=_solver_config(args),
         trials=args.trials,
         seed=args.seed,
         use_exact=args.exact,
     )
-    if args.k_hi is not None:
-        config.k_hi = args.k_hi
     best, report = approximate_mbb(graph, config)
     _emit_text(report.to_json(include_timings=args.timings), args.output)
     return 0

@@ -345,14 +345,12 @@ def approximate_mbb(
                 "tau": params.tau,
                 "tau_clamped": params.tau_clamped,
                 "ratio": params.ratio,
-                "r_target": run.outcomes[0].r_target if run.outcomes else None,
+                "r_target": params.r_target,
                 "event_count": run.event_count,
                 "extraction_count": run.extraction_count,
                 "best": run.best.as_dict() if run.best else None,
             }
-            diag = diagnostics(
-                solution, graph, params.ratio, tau=config.tau, feas_tol=config.solver.eps_feas
-            )
+            diag = diagnostics(solution, graph, params, feas_tol=config.solver.eps_feas)
             diag_dict = asdict(diag)
             del diag_dict["n"], diag_dict["ratio"]
             diag_dict["left_heavy_count"] = len(diag_dict.pop("left_heavy"))

@@ -69,14 +69,6 @@ def default_tau(n: int) -> tuple[float, bool]:
     return raw, False
 
 
-def _resolve_tau(n: int, tau: float | None) -> tuple[float, bool]:
-    """(tau, clamped) for a run on n: the default when tau is None, else the
-    given tau, which is never clamped."""
-    if tau is None:
-        return default_tau(n)
-    return float(tau), False
-
-
 def default_trials(n: int) -> int:
     return min(n**3, 10_000)
 
@@ -92,10 +84,11 @@ def check_seed_and_trials(seed: int, trials: int | None) -> None:
 
 @dataclass(frozen=True)
 class RoundingParams:
-    """Knobs for one rounding run.
+    """Knobs for one rounding run, and the only place they are decided.
 
     ratio is n/k (instance size over target biclique size); heavy_threshold
-    defaults to 1/(8 ratio); per-trial generators are derived from (seed,
+    defaults to 1/(8 ratio); tau_clamped says whether for_instance raised the
+    default tau to TAU_FLOOR; per-trial generators are derived from (seed,
     trial index), so outcomes are reproducible and order-independent.
     """
 
@@ -113,6 +106,11 @@ class RoundingParams:
             raise ValueError("tau must be positive")
         check_seed_and_trials(self.seed, self.trials)
 
+    @property
+    def r_target(self) -> int:
+        """Biclique order the trials aim at: analysis_size_target, floored, at least 1."""
+        return max(1, math.floor(analysis_size_target(self.ratio, self.tau)))
+
     @classmethod
     def for_instance(
         cls,
@@ -122,10 +120,12 @@ class RoundingParams:
         seed: int = 0,
         tau: float | None = None,
     ) -> "RoundingParams":
+        """Params for a host of max side n and target size k: tau=None takes
+        default_tau(n); an explicit tau is never clamped."""
         if k <= 0 or k > n:
             raise ValueError(f"target size k={k} must lie in (0, n={n}]")
         ratio = n / k
-        tau, clamped = _resolve_tau(n, tau)
+        tau, clamped = default_tau(n) if tau is None else (float(tau), False)
         return cls(
             ratio=ratio,
             tau=tau,
@@ -180,8 +180,6 @@ def heavy_sets(
     """Vertices with mass at least 1/(8 ratio), boundary inclusive, per side."""
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-    if solution.sides is None:
-        raise ValueError("solution carries no (n_u, n_v) split; use with_sides first")
     thr = 1.0 / (8.0 * ratio) if threshold is None else float(threshold)
     masses = solution.masses()
     n_u = solution.sides[0]
@@ -243,8 +241,6 @@ def shift_vectors(
     which additionally needs the norm-link constraint, at ``identity_tol``.
     Raises on a member whose shifted norm is degenerate (below 1e-12).
     """
-    if solution.sides is None:
-        raise ValueError("solution carries no (n_u, n_v) split; use with_sides first")
     left_members = np.asarray(list(left_members), dtype=int)
     right_members = np.asarray(list(right_members), dtype=int)
     return _unit_shifted(*_shifted_members(solution, left_members, right_members), identity_tol)
@@ -278,7 +274,6 @@ class _Prepared:
     right_members: np.ndarray
     unit_vectors: np.ndarray
     dropped: tuple[tuple[str, int], ...]
-    r_target: int
 
 
 def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
@@ -298,8 +293,7 @@ def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
         unit = _unit_shifted(vectors[keep], masses[keep], shifted[keep], norms_sq[keep], tol)
     else:
         unit = np.zeros((0, solution.dim))
-    r_target = max(1, math.floor(analysis_size_target(params.ratio, params.tau)))
-    return _Prepared(left, right, unit, dropped, r_target)
+    return _Prepared(left, right, unit, dropped)
 
 
 def _survivor_masks(prepared: _Prepared, params: RoundingParams):
@@ -347,9 +341,10 @@ class _Evaluator:
     repeats reuse the certified object.
     """
 
-    def __init__(self, prepared: _Prepared, graph: BipartiteGraph):
+    def __init__(self, prepared: _Prepared, graph: BipartiteGraph, params: RoundingParams):
         self.prepared = prepared
         self.graph = graph
+        self.r_target = params.r_target
         self.rows, self.cols = graph.bitsets()
         self.left_members = prepared.left_members.tolist()
         self.right_members = prepared.right_members.tolist()
@@ -365,6 +360,7 @@ class _Evaluator:
     def __call__(self, mask: np.ndarray) -> TrialOutcome:
         """The outcome of one survivor mask; it depends on the mask alone."""
         prepared = self.prepared
+        r_target = self.r_target
         flags = mask.tolist()
         n_left = len(self.left_members)
         left = list(compress(self.left_members, flags[:n_left]))
@@ -378,22 +374,22 @@ class _Evaluator:
                 edges += (rows[i] & live_r).bit_count()
             non_edges = len(left) * len(right) - edges
             n_local = max(len(left), len(right))
-            r_hi = min(len(left), len(right), max(prepared.r_target, extractable_r(edges, non_edges, n_local)))
+            r_hi = min(len(left), len(right), max(r_target, extractable_r(edges, non_edges, n_local)))
             for r in range(r_hi, 0, -1):
                 picked = extract_bits(rows, self.cols, left, right, r, n_local, edges)
                 if picked is not None:
                     biclique = self._certify(*picked)
                     break
-        potential = edges - 2 * prepared.r_target * non_edges
+        potential = edges - 2 * r_target * non_edges
         n_host = max(self.graph.n_u, self.graph.n_v)
         return TrialOutcome(
             left_survivors=tuple(left),
             right_survivors=tuple(right),
             edges=edges,
             non_edges=non_edges,
-            r_target=prepared.r_target,
+            r_target=r_target,
             potential=potential,
-            event_held=potential >= 2 * n_host * prepared.r_target,
+            event_held=potential >= 2 * n_host * r_target,
             biclique=biclique,
             dropped_members=prepared.dropped,
         )
@@ -415,7 +411,7 @@ def round_once(
         mask = gaussian_threshold(prepared.unit_vectors, params.tau, rng)
     else:
         mask = np.zeros(0, dtype=bool)
-    return _Evaluator(prepared, graph)(mask)
+    return _Evaluator(prepared, graph, params)(mask)
 
 
 def round_many(
@@ -434,7 +430,7 @@ def round_many(
     """
     _check_match(solution, graph)
     prepared = _prepare(solution, params)
-    evaluate = _Evaluator(prepared, graph)
+    evaluate = _Evaluator(prepared, graph, params)
     memo: dict[bytes, TrialOutcome] = {}
     outcomes = []
     best: Biclique | None = None
@@ -450,8 +446,6 @@ def round_many(
 
 
 def _check_match(solution: VectorSolution, graph: BipartiteGraph) -> None:
-    if solution.sides is None:
-        raise ValueError("solution carries no (n_u, n_v) split; use with_sides first")
     if solution.sides != (graph.n_u, graph.n_v):
         raise ValueError(f"solution split {solution.sides} does not match graph ({graph.n_u}, {graph.n_v})")
 
@@ -487,8 +481,7 @@ class Diagnostics:
 def diagnostics(
     solution: VectorSolution,
     graph: BipartiteGraph,
-    ratio: float,
-    tau: float | None = None,
+    params: RoundingParams,
     feas_tol: float = 1e-6,
 ) -> Diagnostics:
     """Measure the analysis quantities on a solved instance.
@@ -497,15 +490,14 @@ def diagnostics(
     up to solver tolerance; positive_pairs counts heavy pairs whose product
     exceeds half the mass product, every one of which must be an edge, and
     there must be at least k^2 / 4 of them.  Flags are computed with slack
-    n^2 x feas_tol.  tau and tau_clamped follow RoundingParams.for_instance:
-    tau=None takes default_tau(n), and an explicit tau is never clamped, so
-    passing the tau that built the params reports the params' flag.
+    n^2 x feas_tol.  ratio, tau, tau_clamped and the heavy threshold are
+    the params', so the report's rounding and diagnostics agree.
     """
     _check_match(solution, graph)
     n = max(graph.n_u, graph.n_v)
-    tau, clamped = _resolve_tau(n, tau)
+    ratio, tau = params.ratio, params.tau
     k = n / ratio
-    left, right = heavy_sets(solution, ratio)
+    left, right = heavy_sets(solution, ratio, params.heavy_threshold)
     lv = solution.left_vectors()[left]
     rv = solution.right_vectors()[right]
     masses = solution.masses()
@@ -528,7 +520,7 @@ def diagnostics(
         k=k,
         ratio=float(ratio),
         tau=float(tau),
-        tau_clamped=bool(clamped),
+        tau_clamped=params.tau_clamped,
         left_heavy=tuple(int(i) for i in left),
         right_heavy=tuple(int(j) for j in right),
         pair_mass=pair_mass,

@@ -12,7 +12,7 @@ classic half-half integrality gap certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -138,35 +138,30 @@ class VectorSolution:
     """Vector factorization of a Gram matrix.
 
     ``anchor`` is the unit vector e (first canonical axis after rotation);
-    ``vectors`` holds one row per vertex in the global index order.  ``sides``
-    carries the (n_u, n_v) split when known, which the rounding stage needs.
+    ``vectors`` holds one row per vertex in the global index order, and
+    ``sides`` is their (n_u, n_v) split.
     """
 
     dim: int
     anchor: np.ndarray
     vectors: np.ndarray
-    sides: tuple[int, int] | None = None
+    sides: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        n_u, n_v = self.sides
+        if n_u + n_v != len(self.vectors):
+            raise ValueError(f"split ({n_u}, {n_v}) does not match {len(self.vectors)} vertex vectors")
+        object.__setattr__(self, "sides", (int(n_u), int(n_v)))
 
     def masses(self) -> np.ndarray:
         """Per-vertex inner products with the anchor (the selection masses c_i)."""
         return self.vectors @ self.anchor
 
     def left_vectors(self) -> np.ndarray:
-        if self.sides is None:
-            raise ValueError("solution carries no (n_u, n_v) split")
         return self.vectors[: self.sides[0]]
 
     def right_vectors(self) -> np.ndarray:
-        if self.sides is None:
-            raise ValueError("solution carries no (n_u, n_v) split")
         return self.vectors[self.sides[0] :]
-
-    def with_sides(self, n_u: int, n_v: int) -> "VectorSolution":
-        if 1 + n_u + n_v != 1 + len(self.vectors):
-            raise ValueError(
-                f"split ({n_u}, {n_v}) does not match {len(self.vectors)} vertex vectors"
-            )
-        return replace(self, sides=(int(n_u), int(n_v)))
 
     def reconstructed_gram(self) -> np.ndarray:
         rows = np.vstack([self.anchor, self.vectors])
@@ -197,12 +192,22 @@ class SolverConfig:
     at most this. Infeasibility is declared when the best violation sits
     above 10 * eps_feas without a PLATEAU_RTOL relative improvement over
     plateau_window sweeps. warm_start, when given, is the first iterate.
+    eps_feas must be positive and max_iterations and plateau_window at least
+    1: any other value can only give wrong verdicts, so it raises.
     """
 
     eps_feas: float = EPS_FEAS_DEFAULT
     max_iterations: int = 20000
     plateau_window: int = 1000
     warm_start: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not self.eps_feas > 0:
+            raise ValueError(f"eps_feas must be positive, got {self.eps_feas}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.plateau_window < 1:
+            raise ValueError(f"plateau_window must be at least 1, got {self.plateau_window}")
 
 
 @dataclass(frozen=True)
@@ -579,11 +584,12 @@ def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -
 
 def gram_to_vectors(
     gram: GramMatrix,
+    sides: tuple[int, int],
     eps_psd: float = EPS_PSD_DEFAULT,
-    sides: tuple[int, int] | None = None,
     eps_factor: float = EPS_FACTOR_DEFAULT,
 ) -> VectorSolution:
-    """Factor a Gram matrix into vectors whose pairwise products reproduce it.
+    """Factor a Gram matrix into vectors whose pairwise products reproduce it;
+    ``sides`` is the (n_u, n_v) split of its vertex rows.
 
     Eigenvalues below -eps_psd raise; small negative ones are clamped to zero.
     The frame is reflected so the anchor lies on the first canonical axis,
@@ -614,11 +620,7 @@ def gram_to_vectors(
     err = float(np.abs(rows @ rows.T - clamped).max())
     if err > eps_factor:
         raise ArithmeticError(f"factorization error {err} exceeds {eps_factor}")
-    anchor = target
-    solution = VectorSolution(dim=dim, anchor=anchor, vectors=rows[1:], sides=None)
-    if sides is not None:
-        solution = solution.with_sides(*sides)
-    return solution
+    return VectorSolution(dim=dim, anchor=target, vectors=rows[1:], sides=sides)
 
 
 def export_problem(problem: SdpProblem) -> str:

@@ -22,6 +22,7 @@ from mbb_sdp import (
     ALPHA_DEFAULT,
     INFEASIBLE,
     PipelineConfig,
+    RoundingParams,
     SolverConfig,
     approximate_mbb,
     best_extractable_r,
@@ -234,7 +235,8 @@ def test_criterion_6_mass_and_positive_pair_floors(solved_planted, acceptance_lo
     def body(problems):
         for case in solved_planted:
             sol = _solved_vectors(case)
-            diag = diagnostics(sol, case.graph, ratio=case.n / case.k, feas_tol=1e-5)
+            params = RoundingParams.for_instance(case.n, case.k)
+            diag = diagnostics(sol, case.graph, params, feas_tol=1e-5)
             slack = case.n * case.n * 1e-5
             if diag.pair_mass < 0.75 * case.k * case.k - slack:
                 problems.append(

@@ -67,6 +67,18 @@ def test_generate_complete_and_empty(tmp_path, capsys):
     assert (graph.n_u, graph.n_v, graph.num_edges) == (5, 5, 0)
 
 
+def test_generate_rejects_an_explicit_empty_side(capsys):
+    # --n-u 0 is a size, not a missing flag: it must not fall back to --n
+    for kind in ("empty", "complete"):
+        rc, out, err = run_cli(capsys, "generate", "--type", kind, "--n", "4", "--n-u", "0")
+        assert rc == 1
+        assert out == ""
+        assert "both sides must be nonempty" in err
+    rc, out, err = run_cli(capsys, "generate", "--type", "empty", "--n-u", "3")
+    assert rc == 1
+    assert "needs --n, or --n-u and --n-v" in err
+
+
 def test_generate_planted_requires_n_and_k(capsys):
     rc, _, err = run_cli(capsys, "generate", "--type", "planted", "--n", "8")
     assert rc == 1
@@ -252,7 +264,13 @@ def test_pipeline_rejects_bad_rounding_settings_before_searching(tmp_path, capsy
     path = make_planted_file(tmp_path, capsys)
     searched = []
     monkeypatch.setattr("mbb_sdp.cli.approximate_mbb", lambda *args: searched.append(args))
-    for flag, value, field in (("--seed", "-1", "seed"), ("--trials", "0", "trials")):
+    for flag, value, field in (
+        ("--seed", "-1", "seed"),
+        ("--trials", "0", "trials"),
+        ("--k-hi", "0", "k_hi"),
+        ("--max-iterations", "0", "max_iterations"),
+        ("--eps-feas", "0", "eps_feas"),
+    ):
         rc, out, err = run_cli(capsys, "pipeline", "--input", str(path), flag, value)
         assert rc == 1
         assert out == ""

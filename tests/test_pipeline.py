@@ -487,6 +487,20 @@ def test_run_experiment_rejects_unknown_config_keys(tmp_path):
     assert "backend" in error["message"]
 
 
+def test_run_experiment_rejects_solver_settings_that_give_wrong_verdicts(tmp_path):
+    runs = [
+        {"name": "flat", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"plateau_window": 0}},
+        {"name": "ok", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"trials": 8}},
+    ]
+    spec = write_spec(tmp_path / "spec.json", runs)
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["error", "baseline"]
+    error = json.loads((out / "flat.json").read_text(encoding="utf-8"))["error"]
+    assert error == {"type": "ValueError", "message": "plateau_window must be at least 1, got 0"}
+
+
 def test_run_experiment_leaves_no_temp_files(tmp_path):
     runs = [
         {"name": "c", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"trials": 8}}

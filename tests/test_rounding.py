@@ -81,6 +81,9 @@ def test_params_for_instance():
     assert not params.tau_clamped
     assert params.trials == 4096
     assert params.seed == 9
+    assert params.r_target == 1
+    wide = RoundingParams(ratio=1.0, tau=20.0, trials=1, heavy_threshold=0.125)
+    assert wide.r_target == math.floor(analysis_size_target(1.0, 20.0)) > 1
     small = RoundingParams.for_instance(8, 2)
     assert small.tau == 0.5 and small.tau_clamped
     explicit = RoundingParams.for_instance(16, 4, trials=7, tau=1.25)
@@ -109,9 +112,6 @@ def test_heavy_sets_input_checks():
     sol = indicator_solution(3, [0], [0])
     with pytest.raises(ValueError):
         heavy_sets(sol, 0.0)
-    no_sides = VectorSolution(dim=sol.dim, anchor=sol.anchor, vectors=sol.vectors)
-    with pytest.raises(ValueError):
-        heavy_sets(no_sides, 4.0)
 
 
 def test_shift_identities_on_indicator():
@@ -227,10 +227,6 @@ def test_rounding_requires_matching_sides():
     off = indicator_solution(6, [0], [0])
     with pytest.raises(ValueError):
         round_once(off, graph, params)
-    bare = indicator_solution(8, [0], [0])
-    bare = VectorSolution(dim=bare.dim, anchor=bare.anchor, vectors=bare.vectors)
-    with pytest.raises(ValueError):
-        round_once(bare, graph, params)
 
 
 def test_zero_threshold_drops_degenerate_members():
@@ -250,7 +246,7 @@ def test_diagnostics_on_indicator():
     n, k = 16, 4
     graph, planted = planted_instance(n, k, 0.0, seed=9)
     sol = indicator_solution(n, planted.biclique.left, planted.biclique.right)
-    diag = diagnostics(sol, graph, ratio=n / k, tau=0.5)
+    diag = diagnostics(sol, graph, RoundingParams.for_instance(n, k, tau=0.5))
     assert diag.left_heavy == planted.biclique.left
     assert diag.right_heavy == planted.biclique.right
     assert diag.pair_mass == float(k * k)
@@ -271,7 +267,7 @@ def test_weak_gap_solution_defeats_rounding():
     n = 4
     sol = gram_to_vectors(weak_gap_solution(n), sides=(n, n))
     graph = empty_bipartite(n, n)
-    diag = diagnostics(sol, graph, ratio=2.0)
+    diag = diagnostics(sol, graph, RoundingParams.for_instance(n, 2))
     assert len(diag.left_heavy) == n and len(diag.right_heavy) == n
     assert abs(diag.pair_mass) < 1e-7
     assert not diag.pair_mass_ok
@@ -298,7 +294,7 @@ def test_rounding_solved_instance_end_to_end(solved_planted):
     run = round_many(sol, case.graph, params)
     assert run.best is not None
     assert verify_biclique(case.graph, run.best.left, run.best.right)
-    diag = diagnostics(sol, case.graph, ratio=case.n / case.k)
+    diag = diagnostics(sol, case.graph, params)
     assert diag.pair_mass_ok
     assert diag.positive_pairs_ok
     assert diag.positive_pairs_within_edges
@@ -400,9 +396,13 @@ def test_diagnostics_reports_the_params_tau_clamp():
     sol = indicator_solution(n, planted.biclique.left, planted.biclique.right)
     for tau in (None, 0.5, 0.3, 1.25):
         params = RoundingParams.for_instance(n, k, tau=tau)
-        diag = diagnostics(sol, graph, ratio=params.ratio, tau=tau)
+        diag = diagnostics(sol, graph, params)
         assert (diag.tau, diag.tau_clamped) == (params.tau, params.tau_clamped)
-    assert diagnostics(sol, graph, ratio=n / k).tau_clamped
+    assert diagnostics(sol, graph, RoundingParams.for_instance(n, k)).tau_clamped
+    # the heavy cut is the params' too, not one worked out again from the ratio
+    params = dataclasses.replace(RoundingParams.for_instance(n, k), heavy_threshold=2.0)
+    diag = diagnostics(sol, graph, params)
+    assert diag.left_heavy == diag.right_heavy == ()
 
 
 def test_round_many_bytes_pinned(solved_planted):

@@ -12,6 +12,7 @@ from mbb_sdp import (
     GramMatrix,
     SdpProblem,
     SolverConfig,
+    VectorSolution,
     build_strong_relaxation,
     build_weak_relaxation,
     check_feasibility,
@@ -208,7 +209,7 @@ def test_product_dr_verdict_on_a_certified_feasible_k():
 
 def test_gram_to_vectors_reconstructs():
     gram = weak_gap_solution(4)
-    sol = gram_to_vectors(gram)
+    sol = gram_to_vectors(gram, sides=(4, 4))
     rebuilt = sol.reconstructed_gram()
     assert np.abs(rebuilt - gram.entries).max() < 1e-7
     # anchor sits on the first axis with unit norm
@@ -222,12 +223,12 @@ def test_gram_to_vectors_reconstructs():
 
 
 def test_gram_to_vectors_special_matrices():
-    ones = gram_to_vectors(GramMatrix(np.ones((3, 3))))
+    ones = gram_to_vectors(GramMatrix(np.ones((3, 3))), sides=(1, 1))
     assert ones.vectors.shape == (2, 3)
     for row in ones.vectors:
         assert np.linalg.norm(row) == pytest.approx(1.0)
         assert row @ ones.anchor == pytest.approx(1.0)
-    eye = gram_to_vectors(GramMatrix(np.eye(3)))
+    eye = gram_to_vectors(GramMatrix(np.eye(3)), sides=(1, 1))
     full = np.vstack([eye.anchor, eye.vectors])
     assert np.abs(full @ full.T - np.eye(3)).max() < 1e-12
 
@@ -236,15 +237,15 @@ def test_gram_to_vectors_rejects_indefinite():
     m = np.eye(3)
     m[2, 2] = -0.5
     with pytest.raises(ValueError):
-        gram_to_vectors(GramMatrix(m))
+        gram_to_vectors(GramMatrix(m), sides=(1, 1))
 
 
 def test_gram_to_vectors_idempotent_on_psd():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((6, 6))
     gram = GramMatrix(b @ b.T / 6 + np.eye(6))
-    once = gram_to_vectors(gram)
-    twice = gram_to_vectors(GramMatrix(once.reconstructed_gram()))
+    once = gram_to_vectors(gram, sides=(3, 2))
+    twice = gram_to_vectors(GramMatrix(once.reconstructed_gram()), sides=(3, 2))
     assert np.abs(once.reconstructed_gram() - twice.reconstructed_gram()).max() < 1e-7
 
 
@@ -256,6 +257,26 @@ def test_vector_solution_sides_split():
     assert vs.left_vectors().shape[0] == 6
     assert vs.right_vectors().shape[0] == 6
     assert vs.masses().shape == (12,)
+    assert vs.sides == (6, 6) and all(type(side) is int for side in vs.sides)
+    with pytest.raises(ValueError, match="does not match 12 vertex vectors"):
+        gram_to_vectors(out.gram, sides=(6, 5))
+    with pytest.raises(ValueError, match="does not match"):
+        VectorSolution(dim=vs.dim, anchor=vs.anchor, vectors=vs.vectors[1:], sides=(6, 6))
+    assert gram_to_vectors(out.gram, sides=(np.int64(5), np.int64(7))).sides == (5, 7)
+
+
+def test_solver_config_rejects_settings_that_give_wrong_verdicts():
+    for kwargs, message in (
+        ({"eps_feas": 0.0}, "eps_feas must be positive"),
+        ({"eps_feas": -1e-6}, "eps_feas must be positive"),
+        ({"eps_feas": float("nan")}, "eps_feas must be positive"),
+        ({"max_iterations": 0}, "max_iterations must be at least 1"),
+        ({"plateau_window": 0}, "plateau_window must be at least 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kwargs)
+    # the smallest valid settings still build (a one-sweep probe)
+    assert SolverConfig(max_iterations=1, plateau_window=1).max_iterations == 1
 
 
 def test_export_problem_format():
