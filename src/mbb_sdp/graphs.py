@@ -336,12 +336,13 @@ def parse_graph(text: str) -> BipartiteGraph:
     """Parse the package's graph text format.
 
     Lines: optional ``c`` comments, one ``p mbb <n_u> <n_v> <m>`` header, then
-    exactly m ``e <i> <j>`` lines with 0-based endpoints.  Raises
-    GraphFormatError on a malformed or duplicate header, a bad edge line, an
-    out-of-range endpoint, or an edge count that disagrees with the header.
+    exactly m ``e <i> <j>`` lines with 0-based endpoints, each edge once.
+    Raises GraphFormatError on a malformed or duplicate header, a bad or
+    duplicate edge line, an out-of-range endpoint, or an edge count that
+    disagrees with the header.
     """
     header: tuple[int, int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -368,7 +369,9 @@ def parse_graph(text: str) -> BipartiteGraph:
             n_u, n_v, _ = header
             if not (0 <= i < n_u and 0 <= j < n_v):
                 raise GraphFormatError(f"line {lineno}: edge ({i}, {j}) overflows sides ({n_u}, {n_v})")
-            edges.append((i, j))
+            if (i, j) in edges:
+                raise GraphFormatError(f"line {lineno}: duplicate edge ({i}, {j})")
+            edges.add((i, j))
         else:
             raise GraphFormatError(f"line {lineno}: unknown record {tokens[0]!r}")
     if header is None:

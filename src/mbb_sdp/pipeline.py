@@ -85,25 +85,28 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
 
 @dataclass
 class PipelineConfig:
-    """Pipeline knobs: search range, solver and rounding settings, and method
-    toggles."""
+    """Pipeline settings: the top of the k-scan (None: the core cap; the scan
+    always runs down to 1), the solver's settings, the rounding's trial count
+    and seed (tau, the heavy cut and the trial default follow from n and
+    k*), and whether the exact oracle, under its default size guard, joins
+    the comparison."""
 
-    k_lo: int = 1
     k_hi: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     trials: int | None = None
     seed: int = 0
-    tau: float | None = None
-    use_baseline: bool = True
     use_exact: bool = False
-    exact_size_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.k_lo < 1:
-            raise ValueError("k_lo must be at least 1")
-        if self.k_hi is not None and self.k_hi < self.k_lo:
-            raise ValueError("k_hi must be at least k_lo")
+        if self.k_hi is not None and self.k_hi < 1:
+            raise ValueError(f"k_hi must be at least 1, got {self.k_hi}")
         check_seed_and_trials(self.seed, self.trials)
+
+
+# The keys of a spec run's flat ``config`` object, which is also the report's
+# ``config`` echo: every settable value except the solver's warm start.
+_SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig)) - {"warm_start"}
+_PIPELINE_KEYS = frozenset(f.name for f in fields(PipelineConfig)) - {"solver"}
 
 
 @dataclass
@@ -187,11 +190,6 @@ def greedy_baseline(graph: BipartiteGraph) -> Biclique:
     return Biclique.from_graph(graph, best_realization[0], best_realization[1])
 
 
-def _lowest_edge(graph: BipartiteGraph) -> Biclique:
-    i, j = min(graph.edges)
-    return Biclique.from_graph(graph, [i], [j])
-
-
 def _pad_gram(gram: GramMatrix, graph: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> GramMatrix:
     """Embed a Gram matrix over an induced subgraph (anchor, then ``left``,
     then ``right``) into ``graph``'s index space, with zeros for every vertex
@@ -266,14 +264,14 @@ class _KSearch:
         return [self.records[k] for k in sorted(self.records)]
 
 
-def _scan_descending(search: _KSearch, k_lo: int, k_hi: int) -> int | None:
-    """Test k = k_hi, k_hi - 1, ... and return the first feasible k, or None.
+def _scan_descending(search: _KSearch, k_hi: int) -> int | None:
+    """Test k = k_hi, k_hi - 1, ..., 1 and return the first feasible k, or None.
 
     Every k above the returned one tested infeasible, so it is the largest
-    feasible k in [k_lo, k_hi] even when feasibility is not monotone, and no
+    feasible k in [1, k_hi] even when feasibility is not monotone, and no
     k below it is solved: the scan costs exactly the solves in [k*, k_hi].
     """
-    for k in range(k_hi, k_lo - 1, -1):
+    for k in range(k_hi, 0, -1):
         if search.feasible(k):
             return k
     return None
@@ -291,17 +289,8 @@ def approximate_mbb(
     config = config or PipelineConfig()
     t_start = time.perf_counter()
     n = max(graph.n_u, graph.n_v)
-    config_echo = {
-        "k_lo": config.k_lo,
-        "k_hi": config.k_hi,
-        "eps_feas": config.solver.eps_feas,
-        "max_iterations": config.solver.max_iterations,
-        "trials": config.trials,
-        "seed": config.seed,
-        "tau": config.tau,
-        "use_baseline": config.use_baseline,
-        "use_exact": config.use_exact,
-    }
+    config_echo = {key: getattr(config.solver, key) for key in sorted(_SOLVER_KEYS)}
+    config_echo.update((key, getattr(config, key)) for key in sorted(_PIPELINE_KEYS))
     instance_meta = {
         "n_u": graph.n_u,
         "n_v": graph.n_v,
@@ -321,12 +310,13 @@ def approximate_mbb(
     k_star = None
     run: RoundingRun | None = None
     if graph.num_edges > 0:
-        k_hi = len(cores)  # no balanced biclique is larger than the core cap
+        # No balanced biclique is larger than the core cap, and the cap is at
+        # least 1 because the k = 1 core holds every edge.
+        k_hi = len(cores)
         if config.k_hi is not None:
             k_hi = min(k_hi, config.k_hi)
         searcher = _KSearch(graph, config, cores)
-        if config.k_lo <= k_hi:
-            k_star = _scan_descending(searcher, config.k_lo, k_hi)
+        k_star = _scan_descending(searcher, k_hi)
         search_meta.update(per_k=searcher.per_k(), k_star=k_star)
         timings["search"] = time.perf_counter() - t0
         timings["per_k"] = [{"k": k, "seconds": searcher.seconds[k]} for k in sorted(searcher.seconds)]
@@ -335,9 +325,7 @@ def approximate_mbb(
             t0 = time.perf_counter()
             outcome = searcher.solutions[k_star]
             solution = gram_to_vectors(outcome.gram, sides=(graph.n_u, graph.n_v))
-            params = RoundingParams.for_instance(
-                n, k_star, trials=config.trials, seed=config.seed, tau=config.tau
-            )
+            params = RoundingParams.for_instance(n, k_star, trials=config.trials, seed=config.seed)
             run = round_many(solution, graph, params)
             rounding_dict = {
                 "k": k_star,
@@ -359,26 +347,20 @@ def approximate_mbb(
                 candidates.append(("sdp-rounding", run.best))
             timings["rounding"] = time.perf_counter() - t0
 
-    baseline_dict = None
-    if config.use_baseline:
-        t0 = time.perf_counter()
-        base = greedy_baseline(graph)
-        timings["baseline"] = time.perf_counter() - t0
-        baseline_dict = base.as_dict()
-        if base.size > 0:
-            candidates.append(("baseline", base))
+    t0 = time.perf_counter()
+    base = greedy_baseline(graph)
+    timings["baseline"] = time.perf_counter() - t0
+    if base.size > 0:
+        candidates.append(("baseline", base))
 
     exact_dict = None
     if config.use_exact:
         t0 = time.perf_counter()
-        opt = exact_mbb(graph, size_limit=config.exact_size_limit)
+        opt = exact_mbb(graph)
         timings["exact"] = time.perf_counter() - t0
         exact_dict = opt.as_dict()
         if opt.size > 0:
             candidates.append(("exact", opt))
-
-    if not candidates and graph.num_edges > 0:
-        candidates.append(("edge", _lowest_edge(graph)))
 
     if candidates:
         # Largest wins; ties go to the earliest-listed method.
@@ -394,7 +376,7 @@ def approximate_mbb(
         search=search_meta,
         rounding=rounding_dict,
         diagnostics=diag_dict,
-        baseline=baseline_dict,
+        baseline=base.as_dict(),
         exact=exact_dict,
         best={"method": best_method, **best.as_dict()},
         timings=timings,
@@ -422,10 +404,6 @@ def _build_instance(gen: dict, base_dir: Path) -> tuple[BipartiteGraph, int | No
     raise ValueError(f"unknown generator type {kind!r}")
 
 
-_SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig)) - {"warm_start"}
-_PIPELINE_KEYS = frozenset(f.name for f in fields(PipelineConfig)) - {"solver"}
-
-
 def _config_from_dict(raw: dict) -> PipelineConfig:
     """A spec run's flat ``config`` object; a key that sets no knob is an error."""
     unknown = sorted(set(raw) - _SOLVER_KEYS - _PIPELINE_KEYS)
@@ -435,8 +413,11 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(solver=solver, **{k: v for k, v in raw.items() if k in _PIPELINE_KEYS})
 
 
-def _run_name_error(name: str, uses: int) -> str | None:
-    """Why ``name`` cannot name a run's report file, or None when it can."""
+def _run_entry_error(run_spec, name: str, uses: int) -> str | None:
+    """Why a spec's run entry cannot run and write its report file under
+    ``name``, or None when it can."""
+    if not isinstance(run_spec, dict):
+        return f"run entry {json.dumps(run_spec)} is not a JSON object"
     if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         return f"run name {name!r} is not a plain file name"
     if uses > 1:
@@ -455,10 +436,11 @@ def run_experiment(
     n, planted_k, found_size, exact_size, method, time) into the output
     directory, atomically.  A failing run becomes an ``error`` row, its JSON
     holds an ``error`` object with the exception type and message, and one
-    line goes to stderr; the rest still complete.  A run's name must be a
-    plain file name (not empty, ``.`` or ``..``, no path separator) used by
-    no other run of the spec; a run that breaks this becomes an ``error``
-    row and a stderr line but writes no file.  Returns the CSV path.
+    line goes to stderr; the rest still complete.  A run entry must be a
+    JSON object, and its name a plain file name (not empty, ``.`` or ``..``,
+    no path separator) used by no other run of the spec; an entry that
+    breaks this becomes an ``error`` row and a stderr line but writes no
+    file.  Returns the CSV path.
     """
     spec_path = Path(spec_path)
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
@@ -467,40 +449,39 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     runs = spec.get("runs", [])
-    names = [str(run_spec.get("name", f"run-{idx}")) for idx, run_spec in enumerate(runs)]
+    names = [
+        str(run_spec.get("name", f"run-{idx}")) if isinstance(run_spec, dict) else f"run-{idx}"
+        for idx, run_spec in enumerate(runs)
+    ]
     uses = Counter(names)
     rows: list[dict] = []
     for run_spec, name in zip(runs, names):
         row = {col: "" for col in CSV_COLUMNS}
         row["instance"] = name
         t0 = time.perf_counter()
-        name_error = _run_name_error(name, uses[name])
+        entry_error = _run_entry_error(run_spec, name, uses[name])
         try:
-            if name_error is not None:
-                raise ValueError(name_error)
+            if entry_error is not None:
+                raise ValueError(entry_error)
             graph, planted_k = _build_instance(run_spec.get("generator", {}), base_dir)
             config = _config_from_dict(dict(run_spec.get("config", {})))
             if run_spec.get("exact"):
                 config.use_exact = True
             best, report = approximate_mbb(graph, config)
             # Reports must re-verify before they are trusted in the aggregate.
-            payload = report.to_dict(include_timings)
-            loaded = payload["best"]
-            if not verify_biclique(graph, loaded["left"], loaded["right"]):
+            if not verify_biclique(graph, report.best["left"], report.best["right"]):
                 raise ValueError(f"run {name}: best biclique failed re-verification")
-            write_text_atomic(
-                out / f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
-            )
+            write_text_atomic(out / f"{name}.json", report.to_json(include_timings))
             row["n"] = str(max(graph.n_u, graph.n_v))
             row["planted_k"] = "" if planted_k is None else str(planted_k)
             row["found_size"] = str(best.size)
             row["exact_size"] = str(report.exact["size"]) if report.exact else ""
-            row["method"] = payload["best"]["method"]
+            row["method"] = report.best["method"]
         except Exception as exc:
             row["method"] = "error"
             error = {"type": type(exc).__name__, "message": str(exc)}
             print(f"mbb: run {name} failed: {error['type']}: {error['message']}", file=sys.stderr)
-            if name_error is None:
+            if entry_error is None:
                 try:
                     write_text_atomic(
                         out / f"{name}.json", json.dumps({"error": error}, indent=2, sort_keys=True) + "\n"

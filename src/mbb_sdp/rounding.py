@@ -52,6 +52,7 @@ TAU_FLOOR = 0.5
 # Analysis constant in the headline guarantee n^(1/(D t)); reported, never asserted.
 GUARANTEE_D = 1000.0
 _DEGENERATE_NORM = 1e-12
+_SHIFT_TOL = 1e-9
 # Trial t draws from default_rng((seed, t)); gaussian.seeded_normals replays
 # that seeding while t is one 32-bit entropy word.
 _MAX_TRIALS = 2**32
@@ -206,7 +207,7 @@ def _unit_shifted(
     masses: np.ndarray,
     shifted: np.ndarray,
     norms_sq: np.ndarray,
-    identity_tol: float,
+    tol: float,
 ) -> np.ndarray:
     """Check the shift identities of _shifted_members' output, then normalize."""
     if norms_sq.size and norms_sq.min() < _DEGENERATE_NORM**2:
@@ -215,35 +216,30 @@ def _unit_shifted(
     products = shifted @ shifted.T
     expected = vectors @ vectors.T - 0.5 * np.outer(masses, masses)
     err = float(np.abs(products - expected).max()) if products.size else 0.0
-    if err > identity_tol:
-        raise ArithmeticError(f"shift product identity off by {err} (tolerance {identity_tol})")
+    if err > tol:
+        raise ArithmeticError(f"shift product identity off by {err} (tolerance {tol})")
     norm_err = (
         float(np.abs(norms_sq - masses * (1.0 - 0.5 * masses)).max()) if norms_sq.size else 0.0
     )
-    if norm_err > identity_tol:
+    if norm_err > tol:
         raise ArithmeticError(
-            f"shift norm identity off by {norm_err} (tolerance {identity_tol}); "
+            f"shift norm identity off by {norm_err} (tolerance {tol}); "
             "the input's norm-link constraints may be violated beyond the tolerance"
         )
     return shifted / np.sqrt(norms_sq)[:, None]
 
 
-def shift_vectors(
-    solution: VectorSolution,
-    left_members,
-    right_members,
-    identity_tol: float = 1e-9,
-) -> np.ndarray:
+def shift_vectors(solution: VectorSolution, left_members, right_members) -> np.ndarray:
     """Shift members against the anchor and normalize: u' = u - ALPHA_DEFAULT c e.
 
     Verifies the exact shift algebra <u'_i, u'_j> = <u_i, u_j> - c_i c_j / 2
     on all member pairs and the norm identity |u'_i|^2 = c_i (1 - c_i / 2),
-    which additionally needs the norm-link constraint, at ``identity_tol``.
+    which additionally needs the norm-link constraint, at tolerance 1e-9.
     Raises on a member whose shifted norm is degenerate (below 1e-12).
     """
     left_members = np.asarray(list(left_members), dtype=int)
     right_members = np.asarray(list(right_members), dtype=int)
-    return _unit_shifted(*_shifted_members(solution, left_members, right_members), identity_tol)
+    return _unit_shifted(*_shifted_members(solution, left_members, right_members), _SHIFT_TOL)
 
 
 def gaussian_threshold(
@@ -289,7 +285,7 @@ def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     right = right[keep[n_left:]]
     if left.size or right.size:
         slack = float(np.abs(np.einsum("ij,ij->i", vectors, vectors) - masses).max())
-        tol = max(1e-9, 4.0 * slack + 1e-12)
+        tol = max(_SHIFT_TOL, 4.0 * slack + 1e-12)
         unit = _unit_shifted(vectors[keep], masses[keep], shifted[keep], norms_sq[keep], tol)
     else:
         unit = np.zeros((0, solution.dim))

@@ -45,6 +45,7 @@ EPS_FEAS_DEFAULT = 1e-6
 EPS_PSD_DEFAULT = 1e-8
 EPS_FACTOR_DEFAULT = 1e-7
 PLATEAU_RTOL = 1e-3
+PLATEAU_WINDOW = 1000
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-at-tolerance"
@@ -186,19 +187,18 @@ class ViolationReport:
 
 @dataclass
 class SolverConfig:
-    """Knobs for solve_feasibility.
+    """Settings for solve_feasibility.
 
     eps_feas: a point is accepted feasible when every constraint violation is
     at most this. Infeasibility is declared when the best violation sits
     above 10 * eps_feas without a PLATEAU_RTOL relative improvement over
-    plateau_window sweeps. warm_start, when given, is the first iterate.
-    eps_feas must be positive and max_iterations and plateau_window at least
-    1: any other value can only give wrong verdicts, so it raises.
+    PLATEAU_WINDOW sweeps. warm_start, when given, is the first iterate.
+    eps_feas must be positive and max_iterations at least 1: any other value
+    can only give wrong verdicts, so it raises.
     """
 
     eps_feas: float = EPS_FEAS_DEFAULT
     max_iterations: int = 20000
-    plateau_window: int = 1000
     warm_start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -206,8 +206,6 @@ class SolverConfig:
             raise ValueError(f"eps_feas must be positive, got {self.eps_feas}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.plateau_window < 1:
-            raise ValueError(f"plateau_window must be at least 1, got {self.plateau_window}")
 
 
 @dataclass(frozen=True)
@@ -563,7 +561,7 @@ def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityO
                     stalled = 0
                 else:
                     stalled += check_every
-                if stalled >= config.plateau_window and best > 10.0 * config.eps_feas:
+                if stalled >= PLATEAU_WINDOW and best > 10.0 * config.eps_feas:
                     return FeasibilityOutcome(INFEASIBLE, None, viol, iterations)
         return FeasibilityOutcome(SOLVER_LIMIT, None, ops.violation(best_candidate), iterations)
     except (np.linalg.LinAlgError, RuntimeError, MemoryError):
@@ -582,16 +580,12 @@ def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -
     return _solve_product_dr(problem, config or SolverConfig())
 
 
-def gram_to_vectors(
-    gram: GramMatrix,
-    sides: tuple[int, int],
-    eps_psd: float = EPS_PSD_DEFAULT,
-    eps_factor: float = EPS_FACTOR_DEFAULT,
-) -> VectorSolution:
+def gram_to_vectors(gram: GramMatrix, sides: tuple[int, int]) -> VectorSolution:
     """Factor a Gram matrix into vectors whose pairwise products reproduce it;
     ``sides`` is the (n_u, n_v) split of its vertex rows.
 
-    Eigenvalues below -eps_psd raise; small negative ones are clamped to zero.
+    Eigenvalues below -EPS_PSD_DEFAULT raise; small negative ones are clamped
+    to zero, and a reconstruction error above EPS_FACTOR_DEFAULT raises.
     The frame is reflected so the anchor lies on the first canonical axis,
     then the anchor row is normalized to unit length (the matrix should carry
     M[0,0] = 1 up to solver tolerance for the factorization to stay faithful).
@@ -599,8 +593,8 @@ def gram_to_vectors(
     m = gram.entries
     dim = gram.dim
     w, v = np.linalg.eigh(m)
-    if w[0] < -eps_psd:
-        raise ValueError(f"matrix is not PSD at tolerance {eps_psd}: min eigenvalue {w[0]}")
+    if w[0] < -EPS_PSD_DEFAULT:
+        raise ValueError(f"matrix is not PSD at tolerance {EPS_PSD_DEFAULT}: min eigenvalue {w[0]}")
     w = np.clip(w, 0.0, None)
     rows = v * np.sqrt(w)
     anchor_raw = rows[0]
@@ -618,8 +612,8 @@ def gram_to_vectors(
         rows = rows - 2.0 * np.outer(rows @ hh, hh)
     clamped = (v * w) @ v.T
     err = float(np.abs(rows @ rows.T - clamped).max())
-    if err > eps_factor:
-        raise ArithmeticError(f"factorization error {err} exceeds {eps_factor}")
+    if err > EPS_FACTOR_DEFAULT:
+        raise ArithmeticError(f"factorization error {err} exceeds {EPS_FACTOR_DEFAULT}")
     return VectorSolution(dim=dim, anchor=target, vectors=rows[1:], sides=sides)
 
 

@@ -85,6 +85,8 @@ def test_parse_rejects_malformed_input():
     for text in bad_inputs:
         with pytest.raises(GraphFormatError):
             parse_graph(text)
+    with pytest.raises(GraphFormatError, match=r"^line 3: duplicate edge \(0, 0\)$"):
+        parse_graph("p mbb 2 2 2\ne 0 0\ne 0 0\n")
 
 
 def test_planted_instance_contains_block_and_reproduces():

@@ -98,34 +98,33 @@ class _FakeVerdicts:
         return k in self.feasible_ks
 
 
-def _check_scan(feasible_ks, k_lo, k_hi):
+def _check_scan(feasible_ks, k_hi):
     oracle = _FakeVerdicts(feasible_ks)
-    k_star = pipeline_module._scan_descending(oracle, k_lo, k_hi)
-    in_range = [k for k in feasible_ks if k_lo <= k <= k_hi]
+    k_star = pipeline_module._scan_descending(oracle, k_hi)
+    in_range = [k for k in feasible_ks if k <= k_hi]
     assert k_star == (max(in_range) if in_range else None)
     # exactly k_hi, k_hi - 1, ..., k*, top down: nothing below k* is solved
-    bottom = k_lo if k_star is None else k_star
+    bottom = 1 if k_star is None else k_star
     assert oracle.queries == list(range(k_hi, bottom - 1, -1))
 
 
 @pytest.mark.parametrize(
-    "feasible_ks, k_lo, k_hi",
+    "feasible_ks, k_hi",
     [
-        ({4, 10}, 1, 12),  # a top two steps above the largest feasible k
-        ({4, 10}, 1, 40),  # the same verdicts scanned from the side size
+        ({4, 10}, 12),  # a top two steps above the largest feasible k
+        ({4, 10}, 40),  # the same verdicts scanned from the side size
     ],
 )
-def test_scan_descending_stops_at_the_largest_feasible_k(feasible_ks, k_lo, k_hi):
-    _check_scan(feasible_ks, k_lo, k_hi)
+def test_scan_descending_stops_at_the_largest_feasible_k(feasible_ks, k_hi):
+    _check_scan(feasible_ks, k_hi)
 
 
 def test_scan_descending_on_every_small_verdict_set():
     ks = range(1, 7)
     for mask in range(1 << len(ks)):
         feasible_ks = {k for k in ks if mask >> (k - 1) & 1}
-        for k_lo in ks:
-            for k_hi in range(k_lo, ks[-1] + 1):
-                _check_scan(feasible_ks, k_lo, k_hi)
+        for k_hi in ks:
+            _check_scan(feasible_ks, k_hi)
 
 
 def plain_cores(graph):
@@ -152,7 +151,7 @@ def test_core_solves_are_certified_on_the_whole_graph():
     for g in graphs:
         cores = plain_cores(g)
         searcher = pipeline_module._KSearch(g, config, cores)
-        assert pipeline_module._scan_descending(searcher, 1, len(cores)) is not None
+        assert pipeline_module._scan_descending(searcher, len(cores)) is not None
         for rec in searcher.per_k():
             k = rec["k"]
             left, right = cores[k - 1]
@@ -192,10 +191,8 @@ def test_noisy_planted_graph_solves_once_on_the_planted_block(n, k, p):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(k_lo=0)
-    with pytest.raises(ValueError):
-        PipelineConfig(k_lo=3, k_hi=2)
+    with pytest.raises(ValueError, match="k_hi"):
+        PipelineConfig(k_hi=0)
     with pytest.raises(ValueError, match="seed"):
         PipelineConfig(seed=-1)
     with pytest.raises(ValueError, match="trials"):
@@ -465,31 +462,72 @@ def test_run_experiment_rejects_path_like_run_names(tmp_path, capsys):
 
 
 def test_run_experiment_rejects_unknown_config_keys(tmp_path):
+    # settings the config once had and no longer takes
+    retired = {
+        "backend": "dykstra",
+        "k_lo": 1,
+        "tau": 0.5,
+        "use_baseline": True,
+        "exact_size_limit": 24,
+        "plateau_window": 1000,
+    }
     runs = [
-        {
-            "name": "retired",
-            "generator": {"type": "complete", "n_u": 2, "n_v": 2},
-            "config": {"backend": "dykstra"},
-        },
+        {"name": key, "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {key: value}}
+        for key, value in retired.items()
+    ]
+    runs.append(
         {
             "name": "known",
             "generator": {"type": "complete", "n_u": 2, "n_v": 2},
             "config": {"trials": 8, "max_iterations": 500, "k_hi": 2},
-        },
-    ]
+        }
+    )
     spec = write_spec(tmp_path / "spec.json", runs)
     out = tmp_path / "out"
     csv_path = run_experiment(spec, output_dir=out)
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        assert [r["method"] for r in csv.DictReader(fh)] == ["error", "baseline"]
-    error = json.loads((out / "retired.json").read_text(encoding="utf-8"))["error"]
-    assert error["type"] == "ValueError"
-    assert "backend" in error["message"]
+        assert [r["method"] for r in csv.DictReader(fh)] == ["error"] * len(retired) + ["baseline"]
+    for key in retired:
+        error = json.loads((out / f"{key}.json").read_text(encoding="utf-8"))["error"]
+        assert error == {"type": "ValueError", "message": f"unknown config keys {[key]}"}
+
+
+def test_run_experiment_turns_a_non_object_run_entry_into_an_error_row(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json", [1, _tiny_run("ok"), ["x"]])
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["instance"], r["method"]) for r in rows] == [
+        ("run-0", "error"),
+        ("ok", "baseline"),
+        ("run-2", "error"),
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "ok.json"]
+    assert capsys.readouterr().err.splitlines() == [
+        "mbb: run run-0 failed: ValueError: run entry 1 is not a JSON object",
+        'mbb: run run-2 failed: ValueError: run entry ["x"] is not a JSON object',
+    ]
+
+
+def test_report_config_echoes_the_spec_keys():
+    g, _ = planted_instance(8, 2, 0.2, seed=3)
+    config = PipelineConfig(
+        k_hi=3,
+        solver=SolverConfig(eps_feas=2e-7, max_iterations=9000),
+        trials=16,
+        seed=5,
+        use_exact=True,
+    )
+    _, report = approximate_mbb(g, config)
+    echo = json.loads(report.to_json())["config"]
+    assert set(echo) == pipeline_module._SOLVER_KEYS | pipeline_module._PIPELINE_KEYS
+    assert pipeline_module._config_from_dict(echo) == config
 
 
 def test_run_experiment_rejects_solver_settings_that_give_wrong_verdicts(tmp_path):
     runs = [
-        {"name": "flat", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"plateau_window": 0}},
+        {"name": "flat", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"max_iterations": 0}},
         {"name": "ok", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"trials": 8}},
     ]
     spec = write_spec(tmp_path / "spec.json", runs)
@@ -498,7 +536,7 @@ def test_run_experiment_rejects_solver_settings_that_give_wrong_verdicts(tmp_pat
     with open(csv_path, newline="", encoding="utf-8") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["error", "baseline"]
     error = json.loads((out / "flat.json").read_text(encoding="utf-8"))["error"]
-    assert error == {"type": "ValueError", "message": "plateau_window must be at least 1, got 0"}
+    assert error == {"type": "ValueError", "message": "max_iterations must be at least 1, got 0"}
 
 
 def test_run_experiment_leaves_no_temp_files(tmp_path):
@@ -523,15 +561,16 @@ def test_write_text_atomic_keeps_old_file_on_failure(tmp_path):
 
 def test_default_report_bytes_pinned():
     # conftest's (16, 4, 0.2) instance under the default config; digest
-    # recorded when the k-scan moved onto (k,k)-cores, which changed per_k
-    # and the rounded Gram but neither k* nor the best biclique
+    # recorded when k_lo, tau and use_baseline left the config, which
+    # dropped those three keys from the config echo and changed no other
+    # section of the report
     g, _ = planted_instance(16, 4, 0.2, seed=1016)
     _, report = approximate_mbb(g, PipelineConfig())
     assert report.search["k_star"] == 4
     assert report.best == {"method": "baseline", "size": 4, "left": [3, 7, 8, 13], "right": [3, 4, 6, 7]}
     text = report.to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e4e861b1184565b4608cfcca993b4ebc46f7ab98d2b46e234d17038f1e0cc13b"
+        "1390fc386cc566d557cae5d6c981ce78121028b85ef63a31ec06aa05bd983333"
     )
 
 

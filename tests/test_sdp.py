@@ -271,12 +271,11 @@ def test_solver_config_rejects_settings_that_give_wrong_verdicts():
         ({"eps_feas": -1e-6}, "eps_feas must be positive"),
         ({"eps_feas": float("nan")}, "eps_feas must be positive"),
         ({"max_iterations": 0}, "max_iterations must be at least 1"),
-        ({"plateau_window": 0}, "plateau_window must be at least 1"),
     ):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kwargs)
     # the smallest valid settings still build (a one-sweep probe)
-    assert SolverConfig(max_iterations=1, plateau_window=1).max_iterations == 1
+    assert SolverConfig(max_iterations=1).max_iterations == 1
 
 
 def test_export_problem_format():
