@@ -7,22 +7,22 @@ remains a balanced biclique of order r can be read off greedily whenever the
 survivors are large enough.  When W >= 2 n r for a host-side bound n, they
 always are.
 
-Cleaning and picking run in one kernel on the graph's Python-int bitsets
-(``BipartiteGraph.bitsets``): each row and column of the adjacency is one
-int, a live degree is one AND and a bit_count, and the pick ANDs the chosen
-rows.  The kernel takes any ascending subset of rows and columns and answers
-in the bitsets' own indices, so rounding cleans a survivor set in host
-indices without slicing, and the graph entry points below pass the whole
-graph.
+Cleaning and picking run in one array kernel, :func:`extract_rows`, on many
+live subgraphs of one 0/1 adjacency at once: row s of two boolean arrays
+marks the live rows and columns of subgraph s, and every live degree of a
+pass is one float64 matrix product (exact on integer counts).  Rounding
+hands it every distinct survivor set of a run in one call; the graph entry
+points below hand it one row covering the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
 
-from .graphs import BipartiteGraph, Biclique, bit_mask, induced_subgraph, lowest_bits
+import numpy as np
+
+from .graphs import BipartiteGraph, Biclique, induced_subgraph
 
 __all__ = [
     "CleaningTrace",
@@ -31,10 +31,12 @@ __all__ = [
     "construct_biclique",
     "greedy_extract",
     "best_extractable_r",
-    "clean_bits",
-    "extract_bits",
+    "extract_rows",
     "extractable_r",
 ]
+
+
+_MAX_R = 2**31
 
 
 class ExtractionPreconditionError(ValueError):
@@ -66,112 +68,136 @@ class CleaningTrace:
         return tuple(j for j in range(self.n_v) if j not in gone)
 
 
-def clean_bits(
-    rows: Sequence[int], cols: Sequence[int], left, right, r: int
-) -> tuple[list[int], list[int], list[tuple[str, int]], list[int]]:
-    """The cleaning loop, on a graph's row and column bitsets restricted to
-    the live rows ``left`` and columns ``right`` (ascending); no validation.
+def _clean_rows(
+    adj: np.ndarray, left: np.ndarray, right: np.ndarray, r: np.ndarray, log: list | None = None
+) -> None:
+    """The cleaning loop, in place on the live rows ``left`` (S, n_u) and
+    columns ``right`` (S, n_v) of S subgraphs of the float 0/1 matrix ``adj``,
+    row s at size target r[s].
 
-    Returns (left survivors, right survivors, deletions, the potential's gain
-    at each deletion), in the bitsets' own indices.  The deletion order is
-    density_clean's: the lowest bad U vertex, else the lowest bad V vertex.
-    Deleting a U vertex changes no other U vertex's test (its degree and the
-    live V count stay put), so every U vertex bad at one scan is deleted in
-    index order before V is scanned.
+    The deletion order is density_clean's: the lowest bad U vertex, else the
+    lowest bad V vertex.  Deleting a U vertex changes no other U vertex's
+    test (its degree and the live V count stay put), so each pass deletes
+    every bad U vertex at once, then the lowest bad V vertex; a row is done
+    when no V vertex is bad.  With ``log`` (one row only), each deletion
+    appends (side, index, the potential's gain).
     """
-    left = list(left)
-    right = list(right)
-    live_l = bit_mask(left)
-    live_r = bit_mask(right)
-    two_r = 2 * r
+    two_r = 2 * r[:, None]
     weight = 1 + two_r
-    deleted: list[tuple[str, int]] = []
-    gains: list[int] = []
-    while True:
+    rows = np.arange(left.shape[0])
+    while rows.size:
+        live_l, live_r = left[rows], right[rows]
         # deg <= 2r (live - deg), written as deg (1 + 2r) <= 2r live; the
         # slack 2r (live - deg) - deg is what the deletion adds to W
-        bound = two_r * len(right)
-        kept = []
-        for i in left:
-            slack = bound - (rows[i] & live_r).bit_count() * weight
-            if slack >= 0:
-                live_l ^= 1 << i
-                deleted.append(("U", i))
-                gains.append(slack)
-            else:
-                kept.append(i)
-        left = kept
-        bound = two_r * len(left)
-        for j in right:
-            slack = bound - (cols[j] & live_l).bit_count() * weight
-            if slack >= 0:
-                break
-        else:
-            break
-        live_r ^= 1 << j
-        right.remove(j)
-        deleted.append(("V", j))
-        gains.append(slack)
-    return left, right, deleted, gains
+        slack = two_r[rows] * live_r.sum(axis=1, keepdims=True) - (live_r @ adj.T) * weight[rows]
+        bad = live_l & (slack >= 0)
+        live_l &= ~bad
+        if log is not None:
+            log.extend(("U", int(i), int(slack[0, i])) for i in np.flatnonzero(bad[0]))
+        slack = two_r[rows] * live_l.sum(axis=1, keepdims=True) - (live_l @ adj) * weight[rows]
+        bad = live_r & (slack >= 0)
+        lowest = bad & (np.cumsum(bad, axis=1) == 1)
+        live_r &= ~lowest
+        if log is not None:
+            log.extend(("V", int(j), int(slack[0, j])) for j in np.flatnonzero(lowest[0]))
+        left[rows] = live_l
+        right[rows] = live_r
+        rows = rows[bad.any(axis=1)]
 
 
-def _greedy_pick(
-    rows: Sequence[int], left: list[int], right: list[int], r: int
-) -> tuple[list[int], list[int]] | None:
-    """Take the r lowest-index live rows, AND their bitsets over the live
-    columns, and keep the r lowest-index common columns.  None when fewer
-    than r survive."""
-    common = bit_mask(right)
-    for i in left[:r]:
-        common &= rows[i]
-    if common.bit_count() < r:
-        return None
-    return left[:r], lowest_bits(common, r)
+def _pick_rows(
+    adj: np.ndarray, left: np.ndarray, right: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The greedy pick on each row: take the r lowest-index live rows, keep
+    the live columns adjacent to all of them, and take the r lowest-index of
+    those.  Returns both picks and whether r common columns were there."""
+    r = r[:, None]
+    rows = left & (np.cumsum(left, axis=1) <= r)
+    common = right & ((rows @ adj) == r)
+    cols = common & (np.cumsum(common, axis=1) <= r)
+    return rows, cols, common.sum(axis=1) >= r[:, 0]
 
 
-def _construct(
-    rows: Sequence[int], left: list[int], right: list[int], r: int
-) -> tuple[list[int], list[int]]:
-    """construct_biclique's size check and pick on the live rows and columns
-    of a cleaned graph; raises ExtractionPreconditionError."""
-    if len(left) < r or len(right) < 2 * r:
+def _raise_unconstructed(n_left: np.ndarray, n_right: np.ndarray, r: np.ndarray, picked: np.ndarray) -> None:
+    """construct_biclique's checks on rows that must succeed: raise
+    ExtractionPreconditionError at the first row with fewer than r left or
+    2r right vertices, or without a pick."""
+    small = (n_left < r) | (n_right < 2 * r)
+    failed = np.flatnonzero(small | ~picked)
+    if not failed.size:
+        return
+    s = failed[0]
+    if small[s]:
         raise ExtractionPreconditionError(
-            f"cleaned graph ({len(left)}, {len(right)}) is below the required ({r}, {2 * r})"
+            f"cleaned graph ({n_left[s]}, {n_right[s]}) is below the required ({r[s]}, {2 * r[s]})"
         )
-    picked = _greedy_pick(rows, left, right, r)
-    if picked is None:
-        raise ExtractionPreconditionError(
-            "survivor deficit: the graph was not cleaned for this size target"
-        )
-    return picked
+    raise ExtractionPreconditionError("survivor deficit: the graph was not cleaned for this size target")
 
 
-def extract_bits(
-    rows: Sequence[int], cols: Sequence[int], left, right, r: int, n: int, edges: int
-) -> tuple[list[int], list[int]] | None:
-    """Extraction kernel on the subgraph of live rows ``left`` and columns
-    ``right`` (ascending), which has ``edges`` edges; no validation.
+def extract_rows(
+    adj: np.ndarray, left: np.ndarray, right: np.ndarray, r, n, retry: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extraction kernel on the S subgraphs of ``adj`` (n_u, n_v) whose live
+    rows and columns are the rows of the boolean arrays ``left`` (S, n_u) and
+    ``right`` (S, n_v); no validation.
 
-    Cleans at size target r, then picks; returns the biclique's rows and
-    columns in the bitsets' own indices, uncertified, or None.  When
-    F - 2 r Q >= 2 n r the pick is guaranteed, and a failure raises
-    ExtractionPreconditionError.
+    Row s is cleaned at size target r[s], then picked; with ``retry`` a row
+    whose pick fails is cleaned again from its live sets at r[s] - 1, down
+    to 1.  Returns the picked rows and columns as boolean arrays of the
+    inputs' shapes, uncertified, and the order found per row (0 for none).
+    When F - 2 r Q >= 2 n[s] r on the row's live subgraph the pick is
+    guaranteed, and a failure raises ExtractionPreconditionError.
     """
-    guaranteed = edges - 2 * r * (len(left) * len(right) - edges) >= 2 * n * r
-    left, right, _, _ = clean_bits(rows, cols, left, right, r)
-    if guaranteed:
-        # The potential argument forces both survivor sides to at least 2r here.
-        return _construct(rows, left, right, r)
-    if len(left) < r or len(right) < r:
-        return None
-    return _greedy_pick(rows, left, right, r)
+    adj = np.asarray(adj, dtype=np.float64)
+    count = left.shape[0]
+    r = np.broadcast_to(np.asarray(r, dtype=np.int64), (count,)).copy()
+    # float: a host bound of any size is compared exactly where it matters,
+    # since the guarantee fails once 2 n r passes the edge count
+    n = np.broadcast_to(np.asarray(n, dtype=np.float64), (count,))
+    edges = np.einsum("ij,ij->i", left @ adj, right).astype(np.int64)
+    non_edges = left.sum(axis=1) * right.sum(axis=1) - edges
+    picked_left = np.zeros_like(left)
+    picked_right = np.zeros_like(right)
+    found = np.zeros(count, dtype=np.int64)
+    todo = np.flatnonzero(r >= 1)
+    while todo.size:
+        target = r[todo]
+        live_l, live_r = left[todo], right[todo]
+        _clean_rows(adj, live_l, live_r, target)
+        rows, cols, picked = _pick_rows(adj, live_l, live_r, target)
+        # where W >= 2 n r the potential argument leaves both survivor sides
+        # at least 2r and the pick certain, so a failure there is an error
+        sure = edges[todo] - 2 * target * non_edges[todo] >= 2 * n[todo] * target
+        _raise_unconstructed(live_l[sure].sum(axis=1), live_r[sure].sum(axis=1), target[sure], picked[sure])
+        done = todo[picked]
+        picked_left[done] = rows[picked]
+        picked_right[done] = cols[picked]
+        found[done] = target[picked]
+        if not retry:
+            break
+        todo = todo[~picked]
+        r[todo] -= 1
+        todo = todo[r[todo] >= 1]
+    return picked_left, picked_right, found
 
 
 def _check_r(r) -> int:
+    """A size target in [1, 2**31], where the kernel's float64 slacks
+    (2r + 1) x side count stay exact integers for any graph that fits in
+    memory."""
     r = int(r)
-    if r < 1:
-        raise ValueError(f"size target r must be at least 1, got {r}")
+    if not 1 <= r <= _MAX_R:
+        raise ValueError(f"size target r must lie in [1, 2**31], got {r}")
     return r
+
+
+def _whole(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graph's float adjacency and one live row covering each side."""
+    return (
+        graph.dense().astype(np.float64),
+        np.ones((1, graph.n_u), dtype=bool),
+        np.ones((1, graph.n_v), dtype=bool),
+    )
 
 
 def density_clean(graph: BipartiteGraph, r: int) -> tuple[BipartiteGraph, CleaningTrace]:
@@ -183,18 +209,19 @@ def density_clean(graph: BipartiteGraph, r: int) -> tuple[BipartiteGraph, Cleani
     indices plus the full trace.
     """
     r = _check_r(r)
-    rows, cols = graph.bitsets()
-    left, right, deleted, gains = clean_bits(rows, cols, range(graph.n_u), range(graph.n_v), r)
+    adj, left, right = _whole(graph)
+    log: list[tuple[str, int, int]] = []
+    _clean_rows(adj, left, right, np.array([r]), log)
     initial = graph.num_edges - 2 * r * graph.num_non_edges
     trace = CleaningTrace(
         n_u=graph.n_u,
         n_v=graph.n_v,
         r=r,
         initial_potential=initial,
-        deleted=tuple(deleted),
-        potentials=tuple(accumulate(gains, initial=initial))[1:],
+        deleted=tuple((side, i) for side, i, _ in log),
+        potentials=tuple(accumulate((gain for _, _, gain in log), initial=initial))[1:],
     )
-    cleaned, _, _ = induced_subgraph(graph, left, right)
+    cleaned, _, _ = induced_subgraph(graph, np.flatnonzero(left[0]), np.flatnonzero(right[0]))
     return cleaned, trace
 
 
@@ -207,9 +234,11 @@ def construct_biclique(cleaned: BipartiteGraph, r: int) -> Biclique:
     ExtractionPreconditionError when the sizes make that argument impossible.
     """
     r = _check_r(r)
-    rows, _ = cleaned.bitsets()
-    left, right = _construct(rows, list(range(cleaned.n_u)), list(range(cleaned.n_v)), r)
-    return Biclique.from_graph(cleaned, left, right)
+    adj, left, right = _whole(cleaned)
+    target = np.array([r])
+    rows, cols, picked = _pick_rows(adj, left, right, target)
+    _raise_unconstructed(np.array([cleaned.n_u]), np.array([cleaned.n_v]), target, picked)
+    return Biclique.from_graph(cleaned, np.flatnonzero(rows[0]), np.flatnonzero(cols[0]))
 
 
 def greedy_extract(graph: BipartiteGraph, r: int, n: int) -> Biclique | None:
@@ -222,15 +251,15 @@ def greedy_extract(graph: BipartiteGraph, r: int, n: int) -> Biclique | None:
     n = int(n)
     if n < max(graph.n_u, graph.n_v):
         raise ValueError(f"host bound n={n} is below the graph's sides ({graph.n_u}, {graph.n_v})")
-    rows, cols = graph.bitsets()
-    picked = extract_bits(rows, cols, range(graph.n_u), range(graph.n_v), r, n, graph.num_edges)
-    if picked is None:
+    rows, cols, found = extract_rows(*_whole(graph), r, n)
+    if not found[0]:
         return None
-    return Biclique.from_graph(graph, picked[0], picked[1])
+    return Biclique.from_graph(graph, np.flatnonzero(rows[0]), np.flatnonzero(cols[0]))
 
 
 def extractable_r(edges: int, non_edges: int, n: int) -> int:
-    """best_extractable_r on counts already in hand: floor(F / (2Q + 2n))."""
+    """best_extractable_r on counts already in hand (ints or arrays):
+    floor(F / (2Q + 2n))."""
     return edges // (2 * non_edges + 2 * n)
 
 

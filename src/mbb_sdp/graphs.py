@@ -21,7 +21,6 @@ __all__ = [
     "induced_counts",
     "induced_subgraph",
     "common_neighbour_cores",
-    "bit_mask",
     "lowest_bits",
     "parse_graph",
     "serialize_graph",
@@ -107,14 +106,6 @@ class BipartiteGraph:
 def _packed_rows(adj: np.ndarray) -> tuple[int, ...]:
     packed = np.packbits(adj, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
-def bit_mask(indices: Iterable[int]) -> int:
-    """The bitset with exactly the bits ``indices`` (Python ints) set."""
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return bits
 
 
 def lowest_bits(mask: int, count: int) -> list[int]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 import sys
 import time
@@ -89,7 +90,8 @@ class PipelineConfig:
     always runs down to 1), the solver's settings, the rounding's trial count
     and seed (tau, the heavy cut and the trial default follow from n and
     k*), and whether the exact oracle, under its default size guard, joins
-    the comparison."""
+    the comparison.  A value of the wrong type (a float or bool count, a
+    string seed, a non-bool use_exact) raises ValueError naming its key."""
 
     k_hi: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -98,6 +100,14 @@ class PipelineConfig:
     use_exact: bool = False
 
     def __post_init__(self) -> None:
+        for key in ("k_hi", "trials", "seed"):
+            value = getattr(self, key)
+            if value is None and key != "seed":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.use_exact, bool):
+            raise ValueError(f"use_exact must be true or false, got {self.use_exact!r}")
         if self.k_hi is not None and self.k_hi < 1:
             raise ValueError(f"k_hi must be at least 1, got {self.k_hi}")
         check_seed_and_trials(self.seed, self.trials)
@@ -440,7 +450,8 @@ def run_experiment(
     JSON object, and its name a plain file name (not empty, ``.`` or ``..``,
     no path separator) used by no other run of the spec; an entry that
     breaks this becomes an ``error`` row and a stderr line but writes no
-    file.  Returns the CSV path.
+    file.  A missing or null name is ``run-<index>``.  ``exact`` and the
+    config's ``use_exact`` must be JSON booleans.  Returns the CSV path.
     """
     spec_path = Path(spec_path)
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
@@ -450,7 +461,7 @@ def run_experiment(
 
     runs = spec.get("runs", [])
     names = [
-        str(run_spec.get("name", f"run-{idx}")) if isinstance(run_spec, dict) else f"run-{idx}"
+        f"run-{idx}" if not isinstance(run_spec, dict) or run_spec.get("name") is None else str(run_spec["name"])
         for idx, run_spec in enumerate(runs)
     ]
     uses = Counter(names)
@@ -465,8 +476,10 @@ def run_experiment(
                 raise ValueError(entry_error)
             graph, planted_k = _build_instance(run_spec.get("generator", {}), base_dir)
             config = _config_from_dict(dict(run_spec.get("config", {})))
-            if run_spec.get("exact"):
-                config.use_exact = True
+            exact = run_spec.get("exact", False)
+            if not isinstance(exact, bool):
+                raise ValueError(f"exact must be true or false, got {json.dumps(exact)}")
+            config.use_exact = config.use_exact or exact
             best, report = approximate_mbb(graph, config)
             # Reports must re-verify before they are trusted in the aggregate.
             if not verify_biclique(graph, report.best["left"], report.best["right"]):

@@ -12,14 +12,15 @@ survivor subgraph is dense, and greedy extraction reads a biclique off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import compress, repeat
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
-from .extraction import extract_bits, extractable_r
+from .extraction import extract_rows, extractable_r
 from .gaussian import seeded_normals, std_normal_pdf
-from .graphs import BipartiteGraph, Biclique, bit_mask
+from .graphs import BipartiteGraph, Biclique
 from .sdp import VectorSolution
 
 # The per-trial path no longer calls these (nor gaussian_threshold), but they
@@ -60,6 +61,10 @@ _MAX_TRIALS = 2**32
 # 128 and 256 cost about the same and 32 half again as much; a larger block
 # only raises peak memory.
 _BLOCK = 256
+# Trials whose masks round_many deduplicates together (a whole number of
+# blocks), and survivor sets scored together; it bounds the masks and the
+# float64 scoring arrays held at once, whatever the trial count.
+_CHUNK = 8 * _BLOCK
 
 
 def default_tau(n: int) -> tuple[float, bool]:
@@ -151,28 +156,6 @@ class TrialOutcome:
     event_held: bool
     biclique: Biclique | None
     dropped_members: tuple[tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class RoundingRun:
-    """All trial outcomes of one rounding run plus the best verified biclique.
-
-    ``distinct_sets`` counts the distinct survivor masks among the trials,
-    which is how many times scoring and extraction ran.
-    """
-
-    best: Biclique | None
-    outcomes: tuple[TrialOutcome, ...]
-    params: RoundingParams
-    distinct_sets: int
-
-    @property
-    def event_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.event_held)
-
-    @property
-    def extraction_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.biclique is not None)
 
 
 def heavy_sets(
@@ -292,18 +275,6 @@ def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
     return _Prepared(left, right, unit, dropped)
 
 
-def _survivor_masks(prepared: _Prepared, params: RoundingParams):
-    """Each trial's survivor mask over the members, left then right, in
-    trial order, _BLOCK trials at a time; with no members every mask is
-    empty."""
-    unit = prepared.unit_vectors
-    if not unit.shape[0]:
-        yield from repeat(np.zeros(0, dtype=bool), params.trials)
-        return
-    for start in range(0, params.trials, _BLOCK):
-        yield from _block_masks(unit, params.tau, params.seed, start, min(start + _BLOCK, params.trials))
-
-
 def _block_masks(unit: np.ndarray, tau: float, seed: int, start: int, stop: int) -> np.ndarray:
     """Survivor masks of trials start..stop-1: trial t cuts
     default_rng((seed, t)).standard_normal(dim) at tau, exactly as
@@ -327,68 +298,175 @@ def _block_masks(unit: np.ndarray, tau: float, seed: int, start: int, stop: int)
     return masks
 
 
-class _Evaluator:
-    """Scores and extracts survivor masks of one prepared solution on its
-    host graph.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a nonempty-width boolean array: its packed bytes,
+    as a sortable void scalar."""
+    packed = np.packbits(rows, axis=1)
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
-    Each survivor set is cleaned and picked in host indices on the host's
-    bitsets, which the graph builds once and caches.  Every biclique is
-    certified against the host graph once per distinct (left, right);
-    repeats reuse the certified object.
+
+def _distinct_masks(prepared: _Prepared, params: RoundingParams) -> tuple[np.ndarray, np.ndarray]:
+    """The run's distinct survivor masks over the members (left, then
+    right), in order of first appearance, and each trial's row among them.
+
+    Masks come from _block_masks a block at a time and are deduplicated
+    _CHUNK trials at a time against the sets already seen; with no members
+    every mask is the one empty mask.
+    """
+    unit = prepared.unit_vectors
+    trial_set = np.zeros(params.trials, dtype=np.intp)
+    if not unit.shape[0]:
+        return np.zeros((1, 0), dtype=bool), trial_set
+    distinct = []
+    known = _row_keys(np.zeros((0, unit.shape[0]), dtype=bool))
+    for start in range(0, params.trials, _CHUNK):
+        stop = min(start + _CHUNK, params.trials)
+        masks = np.concatenate(
+            [
+                _block_masks(unit, params.tau, params.seed, b, min(b + _BLOCK, stop))
+                for b in range(start, stop, _BLOCK)
+            ]
+        )
+        # known keys are distinct, so each one's first index is its set id
+        seen = known.size
+        keys = np.concatenate([known, _row_keys(masks)])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        new = np.flatnonzero(first >= seen)
+        new = new[np.argsort(first[new])]
+        set_id = first.copy()
+        set_id[new] = seen + np.arange(new.size)
+        trial_set[start:stop] = set_id[inverse[seen:]]
+        distinct.append(masks[first[new] - seen])
+        known = np.concatenate([known, keys[first[new]]])
+    return np.concatenate(distinct), trial_set
+
+
+@dataclass(frozen=True)
+class _ScoredSets:
+    """Distinct survivor masks of one prepared solution, scored as arrays.
+
+    Row s of ``masks`` is a survivor set over the members (left, then
+    right); ``biclique[s]`` indexes ``bicliques``, or is -1 when extraction
+    found nothing.
     """
 
-    def __init__(self, prepared: _Prepared, graph: BipartiteGraph, params: RoundingParams):
-        self.prepared = prepared
-        self.graph = graph
-        self.r_target = params.r_target
-        self.rows, self.cols = graph.bitsets()
-        self.left_members = prepared.left_members.tolist()
-        self.right_members = prepared.right_members.tolist()
-        self.certified: dict[tuple[tuple[int, ...], tuple[int, ...]], Biclique] = {}
+    prepared: _Prepared
+    r_target: int
+    masks: np.ndarray
+    edges: np.ndarray
+    non_edges: np.ndarray
+    potential: np.ndarray
+    event_held: np.ndarray
+    biclique: np.ndarray
+    bicliques: tuple[Biclique, ...]
 
-    def _certify(self, left: list[int], right: list[int]) -> Biclique:
-        key = (tuple(left), tuple(right))
-        biclique = self.certified.get(key)
-        if biclique is None:
-            biclique = self.certified[key] = Biclique.from_graph(self.graph, left, right)
-        return biclique
-
-    def __call__(self, mask: np.ndarray) -> TrialOutcome:
-        """The outcome of one survivor mask; it depends on the mask alone."""
+    def outcomes(self) -> list[TrialOutcome]:
+        """One TrialOutcome per row, in row order."""
         prepared = self.prepared
-        r_target = self.r_target
-        flags = mask.tolist()
-        n_left = len(self.left_members)
-        left = list(compress(self.left_members, flags[:n_left]))
-        right = list(compress(self.right_members, flags[n_left:]))
-        edges = non_edges = 0
-        biclique: Biclique | None = None
-        if left and right:
-            rows = self.rows
-            live_r = bit_mask(right)
-            for i in left:
-                edges += (rows[i] & live_r).bit_count()
-            non_edges = len(left) * len(right) - edges
-            n_local = max(len(left), len(right))
-            r_hi = min(len(left), len(right), max(r_target, extractable_r(edges, non_edges, n_local)))
-            for r in range(r_hi, 0, -1):
-                picked = extract_bits(rows, self.cols, left, right, r, n_local, edges)
-                if picked is not None:
-                    biclique = self._certify(*picked)
-                    break
-        potential = edges - 2 * r_target * non_edges
-        n_host = max(self.graph.n_u, self.graph.n_v)
-        return TrialOutcome(
-            left_survivors=tuple(left),
-            right_survivors=tuple(right),
-            edges=edges,
-            non_edges=non_edges,
-            r_target=r_target,
-            potential=potential,
-            event_held=potential >= 2 * n_host * r_target,
-            biclique=biclique,
-            dropped_members=prepared.dropped,
+        n_left = prepared.left_members.size
+        left_members = prepared.left_members.tolist()
+        right_members = prepared.right_members.tolist()
+        return [
+            TrialOutcome(
+                left_survivors=tuple(compress(left_members, flags[:n_left])),
+                right_survivors=tuple(compress(right_members, flags[n_left:])),
+                edges=edges,
+                non_edges=non_edges,
+                r_target=self.r_target,
+                potential=potential,
+                event_held=held,
+                biclique=None if b < 0 else self.bicliques[b],
+                dropped_members=prepared.dropped,
+            )
+            for flags, edges, non_edges, potential, held, b in zip(
+                self.masks.tolist(),
+                self.edges.tolist(),
+                self.non_edges.tolist(),
+                self.potential.tolist(),
+                self.event_held.tolist(),
+                self.biclique.tolist(),
+            )
+        ]
+
+
+def _score(prepared: _Prepared, graph: BipartiteGraph, r_target: int, masks: np.ndarray) -> _ScoredSets:
+    """Score and extract the survivor sets ``masks``, _CHUNK sets at a time.
+
+    Per batch, edge counts come from one float64 product with the members'
+    adjacency, and the sets with both sides nonempty are extracted by one
+    extract_rows call in member indices (ascending, as the host's), each
+    from r_hi = min(sides, max(r_target, extractable_r)) down to the first r
+    that picks.  Each distinct biclique is certified against the host graph
+    once.
+    """
+    left_members, right_members = prepared.left_members, prepared.right_members
+    n_left = left_members.size
+    adj = graph.dense()[np.ix_(left_members, right_members)].astype(np.float64)
+    n_l, n_r = masks[:, :n_left].sum(axis=1), masks[:, n_left:].sum(axis=1)
+    edges = np.zeros(len(masks), dtype=np.int64)
+    picks = np.zeros_like(masks)
+    found = np.zeros(len(masks), dtype=np.int64)
+    for start in range(0, len(masks), _CHUNK):
+        part = slice(start, start + _CHUNK)
+        left, right = masks[part, :n_left], masks[part, n_left:]
+        edges[part] = np.einsum("ij,ij->i", left @ adj, right)
+        n_local = np.maximum(n_l[part], n_r[part])
+        r_best = extractable_r(edges[part], n_l[part] * n_r[part] - edges[part], np.maximum(n_local, 1))
+        r_hi = np.minimum(np.minimum(n_l[part], n_r[part]), np.maximum(r_target, r_best))
+        rows = np.flatnonzero(r_hi)
+        picked_left, picked_right, found[start + rows] = extract_rows(
+            adj, left[rows], right[rows], r_hi[rows], n_local[rows], retry=True
         )
+        picks[start + rows] = np.concatenate([picked_left, picked_right], axis=1)
+    non_edges = n_l * n_r - edges
+    potential = edges - 2 * r_target * non_edges
+    n_host = max(graph.n_u, graph.n_v)
+
+    hit = np.flatnonzero(found)
+    biclique = np.full(len(masks), -1, dtype=np.intp)
+    bicliques: tuple[Biclique, ...] = ()
+    if hit.size:
+        _, first, biclique[hit] = np.unique(_row_keys(picks[hit]), return_index=True, return_inverse=True)
+        bicliques = tuple(
+            Biclique.from_graph(graph, left_members[picks[s, :n_left]], right_members[picks[s, n_left:]])
+            for s in hit[first].tolist()
+        )
+    return _ScoredSets(
+        prepared=prepared,
+        r_target=r_target,
+        masks=masks,
+        edges=edges,
+        non_edges=non_edges,
+        potential=potential,
+        event_held=potential >= 2 * n_host * r_target,
+        biclique=biclique,
+        bicliques=bicliques,
+    )
+
+
+@dataclass(frozen=True)
+class RoundingRun:
+    """One rounding run: the best verified biclique, the counts reports read,
+    and every trial's outcome on demand.
+
+    ``distinct_sets`` counts the distinct survivor masks among the trials,
+    which is how many sets were scored and extracted.  ``outcomes`` holds
+    one TrialOutcome per trial, in trial order; it is built on first read
+    from the scored sets and each trial's set.
+    """
+
+    best: Biclique | None
+    params: RoundingParams
+    distinct_sets: int
+    event_count: int
+    extraction_count: int
+    _sets: _ScoredSets = field(repr=False, compare=False)
+    _trial_set: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def outcomes(self) -> tuple[TrialOutcome, ...]:
+        per_set = self._sets.outcomes()
+        return tuple(per_set[s] for s in self._trial_set.tolist())
 
 
 def round_once(
@@ -407,7 +485,7 @@ def round_once(
         mask = gaussian_threshold(prepared.unit_vectors, params.tau, rng)
     else:
         mask = np.zeros(0, dtype=bool)
-    return _Evaluator(prepared, graph, params)(mask)
+    return _score(prepared, graph, params.r_target, mask[None, :]).outcomes()[0]
 
 
 def round_many(
@@ -420,25 +498,31 @@ def round_many(
     set; ties on size keep the earliest trial.  The draws are computed a
     block of trials at a time (gaussian.seeded_normals, checked against
     numpy's own seeding) and multiplied together, with every mask equal to
-    round_once's under that trial's generator (see _survivor_masks).  An
-    outcome depends only on the trial's survivor mask, so scoring and
-    extraction run once per distinct mask and repeats reuse that outcome.
+    round_once's under that trial's generator (see _block_masks).  An
+    outcome depends only on the trial's survivor mask, so the distinct
+    masks are scored and extracted once, together, and the counts come from
+    those per-set arrays and each trial's set.
     """
     _check_match(solution, graph)
     prepared = _prepare(solution, params)
-    evaluate = _Evaluator(prepared, graph, params)
-    memo: dict[bytes, TrialOutcome] = {}
-    outcomes = []
-    best: Biclique | None = None
-    for mask in _survivor_masks(prepared, params):
-        key = mask.tobytes()
-        outcome = memo.get(key)
-        if outcome is None:
-            outcome = memo[key] = evaluate(mask)
-        outcomes.append(outcome)
-        if outcome.biclique is not None and (best is None or outcome.biclique.size > best.size):
-            best = outcome.biclique
-    return RoundingRun(best=best, outcomes=tuple(outcomes), params=params, distinct_sets=len(memo))
+    masks, trial_set = _distinct_masks(prepared, params)
+    sets = _score(prepared, graph, params.r_target, masks)
+    trials_per_set = np.bincount(trial_set, minlength=len(masks))
+    found = sets.biclique >= 0
+    best = None
+    if found.any():
+        sizes = np.array([b.size for b in sets.bicliques])[sets.biclique]
+        # set ids follow first appearance, so argmax keeps the earliest trial
+        best = sets.bicliques[sets.biclique[np.where(found, sizes, 0).argmax()]]
+    return RoundingRun(
+        best=best,
+        params=params,
+        distinct_sets=len(masks),
+        event_count=int(trials_per_set[sets.event_held].sum()),
+        extraction_count=int(trials_per_set[found].sum()),
+        _sets=sets,
+        _trial_set=trial_set,
+    )
 
 
 def _check_match(solution: VectorSolution, graph: BipartiteGraph) -> None:

@@ -12,6 +12,7 @@ classic half-half integrality gap certificate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -193,8 +194,9 @@ class SolverConfig:
     at most this. Infeasibility is declared when the best violation sits
     above 10 * eps_feas without a PLATEAU_RTOL relative improvement over
     PLATEAU_WINDOW sweeps. warm_start, when given, is the first iterate.
-    eps_feas must be positive and max_iterations at least 1: any other value
-    can only give wrong verdicts, so it raises.
+    eps_feas must be a positive number and max_iterations an integer (not a
+    bool) of at least 1: any other value can only give wrong verdicts, so it
+    raises.
     """
 
     eps_feas: float = EPS_FEAS_DEFAULT
@@ -202,6 +204,10 @@ class SolverConfig:
     warm_start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.eps_feas, bool) or not isinstance(self.eps_feas, numbers.Real):
+            raise ValueError(f"eps_feas must be a number, got {self.eps_feas!r}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if not self.eps_feas > 0:
             raise ValueError(f"eps_feas must be positive, got {self.eps_feas}")
         if self.max_iterations < 1:

@@ -1,5 +1,5 @@
 """Property tests: a graph's cached row and column bitsets agree with its
-dense adjacency bit for bit, and the mask helpers match index lists."""
+dense adjacency bit for bit, and lowest_bits matches index lists."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mbb_sdp import BipartiteGraph
-from mbb_sdp.graphs import bit_mask, lowest_bits
+from mbb_sdp.graphs import lowest_bits
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -42,7 +42,6 @@ def test_bitsets_agree_with_dense(adj):
     assert cols == tuple(reference_bits(flags) for flags in graph.dense().T)
     for bits, flags in zip(rows + cols, list(graph.dense()) + list(graph.dense().T)):
         members = np.flatnonzero(flags).tolist()
-        assert bit_mask(members) == bits
         for count in (len(members) // 2, len(members)):
             assert lowest_bits(bits, count) == members[:count]
 

@@ -137,6 +137,16 @@ def test_clean_empty_graph_deletes_everything():
 def test_clean_rejects_bad_target():
     with pytest.raises(ValueError):
         density_clean(complete_bipartite(2, 2), 0)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        density_clean(complete_bipartite(2, 2), 2**31 + 1)
+    # the largest target still cleans exactly: a full row is never deleted
+    assert density_clean(complete_bipartite(2, 2), 2**31)[1].deleted == ()
+
+
+def test_greedy_extract_takes_a_host_bound_of_any_size():
+    g = complete_bipartite(3, 3)
+    assert greedy_extract(g, 1, 3) is not None
+    assert greedy_extract(g, 1, 10**40).size == 1
 
 
 def test_construct_biclique_on_complete_graph():

@@ -202,6 +202,28 @@ def test_config_validation():
     assert PipelineConfig(trials=None).trials is None
 
 
+def test_config_rejects_wrong_types_by_key():
+    for key, value in (
+        ("k_hi", 2.5),
+        ("k_hi", True),
+        ("trials", 8.0),
+        ("trials", False),
+        ("seed", "3"),
+        ("seed", True),
+        ("seed", None),
+        ("use_exact", "false"),
+        ("use_exact", 1),
+    ):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            PipelineConfig(**{key: value})
+    for key, value in (("max_iterations", True), ("max_iterations", 500.0), ("eps_feas", "1e-6"), ("eps_feas", False)):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SolverConfig(**{key: value})
+    # numpy scalars are integers and numbers too
+    assert PipelineConfig(k_hi=np.int64(3), seed=np.int64(1)).k_hi == 3
+    assert SolverConfig(eps_feas=np.float64(1e-6), max_iterations=np.int32(10)).max_iterations == 10
+
+
 def test_pipeline_on_pure_planted_block():
     g, _ = planted_instance(8, 2, 0.0, seed=3)
     best, report = approximate_mbb(g, fast_config(use_exact=True))
@@ -581,3 +603,39 @@ def test_default_tau_clamp_agrees_across_the_report():
     assert report.rounding["tau"] == report.diagnostics["tau"] == 0.5
     assert report.rounding["tau_clamped"] is True
     assert report.diagnostics["tau_clamped"] is True
+
+
+def test_run_experiment_reads_exact_as_a_json_boolean(tmp_path):
+    runs = [
+        dict(_tiny_run("quoted"), exact="false"),
+        {"name": "flag", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"use_exact": "false"}},
+        dict(_tiny_run("off"), exact=False),
+    ]
+    spec = write_spec(tmp_path / "spec.json", runs)
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["instance"], r["method"], r["exact_size"]) for r in rows] == [
+        ("quoted", "error", ""),
+        ("flag", "error", ""),
+        ("off", "baseline", ""),
+    ]
+    assert json.loads((out / "quoted.json").read_text(encoding="utf-8"))["error"] == {
+        "type": "ValueError",
+        "message": 'exact must be true or false, got "false"',
+    }
+    assert json.loads((out / "flag.json").read_text(encoding="utf-8"))["error"] == {
+        "type": "ValueError",
+        "message": "use_exact must be true or false, got 'false'",
+    }
+    assert json.loads((out / "off.json").read_text(encoding="utf-8"))["config"]["use_exact"] is False
+
+
+def test_run_experiment_names_a_null_name_by_its_index(tmp_path):
+    spec = write_spec(tmp_path / "spec.json", [_tiny_run("first"), dict(_tiny_run("x"), name=None)])
+    out = tmp_path / "out"
+    csv_path = run_experiment(spec, output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        assert [r["instance"] for r in csv.DictReader(fh)] == ["first", "run-1"]
+    assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "first.json", "run-1.json"]

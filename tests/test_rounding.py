@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mbb_sdp import extraction as extraction_module
 from mbb_sdp import graphs as graphs_module
 from mbb_sdp import rounding as rounding_module
 from mbb_sdp import (
@@ -326,27 +327,37 @@ def _memo_cases(solved_planted):
 
 
 def test_round_many_memo_matches_round_once_per_trial(solved_planted, monkeypatch):
-    calls = []
-    core = rounding_module.extract_bits
+    rows = []  # rows handed to the extraction kernel, per call
+    attempts = []  # rows cleaned, per size target tried
+    kernel = rounding_module.extract_rows
+    clean = extraction_module._clean_rows
 
-    def counting(rows, cols, left, right, r, n, edges):
-        calls.append(r)
-        return core(rows, cols, left, right, r, n, edges)
+    def counting(adj, left, right, r, n, retry=False):
+        rows.append(len(left))
+        return kernel(adj, left, right, r, n, retry)
 
-    monkeypatch.setattr(rounding_module, "extract_bits", counting)
+    def counting_clean(adj, left, right, r, log=None):
+        attempts.append(len(left))
+        return clean(adj, left, right, r, log)
+
+    monkeypatch.setattr(rounding_module, "extract_rows", counting)
+    monkeypatch.setattr(extraction_module, "_clean_rows", counting_clean)
     distinct_counts = []
     for graph, sol, params in _memo_cases(solved_planted):
-        calls.clear()
+        rows.clear()
+        attempts.clear()
         run = round_many(sol, graph, params)
-        extraction_calls = len(calls)
+        kernel_rows = list(rows)
+        cleaned_rows = sum(attempts)
         for t, outcome in enumerate(run.outcomes):
             single = round_once(sol, graph, params, rng=np.random.default_rng((params.seed, t)))
             assert outcome == single
         masks = {(o.left_survivors, o.right_survivors) for o in run.outcomes}
         assert run.distinct_sets == len(masks)
         distinct_counts.append(len(masks))
-        # extraction runs once per distinct mask with both sides nonempty,
-        # trying each r from r_hi down at most once
+        # extraction takes one row per distinct mask with both sides
+        # nonempty, in one call, and cleans each at each r from r_hi down
+        # at most once
         bound = 0
         nonempty = 0
         for left, right in masks:
@@ -356,8 +367,9 @@ def test_round_many_memo_matches_round_once_per_trial(solved_planted, monkeypatc
                 n_local = max(len(left), len(right))
                 r_best = rep.edges // (2 * rep.non_edges + 2 * n_local)
                 bound += min(len(left), len(right), max(rep.r_target, r_best))
-        assert extraction_calls <= bound
-        assert extraction_calls >= nonempty >= 1
+        assert kernel_rows == [nonempty]
+        assert cleaned_rows <= bound
+        assert cleaned_rows >= nonempty >= 1
         assert run.extraction_count >= 1
     assert distinct_counts[0] <= 2 < 32 <= distinct_counts[1]
 
@@ -384,8 +396,16 @@ def test_round_many_certifies_each_distinct_biclique_once(solved_planted, monkey
     assert len(distinct) < len(masks_with_biclique)
 
     # a kernel that hands back a non-edge is caught by the certification
-    i, j = (int(x) for x in np.argwhere(~case.graph.dense())[0])
-    monkeypatch.setattr(rounding_module, "extract_bits", lambda *args: ([i], [j]))
+    prepared = rounding_module._prepare(sol, params)
+    members = case.graph.dense()[np.ix_(prepared.left_members, prepared.right_members)]
+    a, b = (int(x) for x in np.argwhere(~members)[0])
+
+    def lying(adj, left, right, r, n, retry=False):
+        picked_left, picked_right = np.zeros_like(left), np.zeros_like(right)
+        picked_left[:, a] = picked_right[:, b] = True
+        return picked_left, picked_right, np.ones(len(left), dtype=np.int64)
+
+    monkeypatch.setattr(rounding_module, "extract_rows", lying)
     with pytest.raises(ValueError):
         round_many(sol, case.graph, params)
 
@@ -490,3 +510,30 @@ def test_round_many_without_members_draws_nothing(monkeypatch):
     assert run.best is None
     assert all(o.left_survivors == () and o.right_survivors == () for o in run.outcomes)
     assert run.outcomes[0] == round_once(sol, graph, params)
+
+
+def test_round_many_dedups_across_chunks(solved_planted, monkeypatch):
+    # one chunk per block: sets seen in an earlier chunk keep their id, new
+    # ones are numbered in order of first appearance, and the sets are
+    # scored a block at a time, so the run is the same
+    case = next(c for c in solved_planted if (c.n, c.p) == (8, 0.2))
+    sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+    params = RoundingParams.for_instance(case.n, case.k, trials=3 * rounding_module._BLOCK + 5, seed=3)
+    whole = round_many(sol, case.graph, params)
+    monkeypatch.setattr(rounding_module, "_CHUNK", rounding_module._BLOCK)
+    chunked = round_many(sol, case.graph, params)
+    assert chunked.outcomes == whole.outcomes
+    assert (chunked.best, chunked.distinct_sets) == (whole.best, whole.distinct_sets)
+    assert (chunked.event_count, chunked.extraction_count) == (whole.event_count, whole.extraction_count)
+    assert rounding_module._BLOCK < whole.distinct_sets < params.trials
+
+
+def test_round_many_builds_outcomes_only_when_read(solved_planted):
+    case = next(c for c in solved_planted if (c.n, c.p) == (8, 0.2))
+    sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
+    run = round_many(sol, case.graph, RoundingParams.for_instance(case.n, case.k, trials=64, seed=3))
+    assert "outcomes" not in vars(run)
+    outcomes = run.outcomes
+    assert run.outcomes is outcomes and len(outcomes) == 64
+    assert run.event_count == sum(o.event_held for o in outcomes)
+    assert run.extraction_count == sum(o.biclique is not None for o in outcomes)
