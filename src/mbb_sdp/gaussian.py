@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "TailBounds",
@@ -27,6 +26,7 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 # np.random.default_rng(entropy) hashes its entropy words with numpy's
 # SeedSequence (a 4-word pool, hash chains A and B, all arithmetic mod 2^32)
@@ -67,7 +67,7 @@ def std_normal_tail(tau):
     1 - cdf(tau) subtraction would destroy.
     """
     tau = np.asarray(tau, dtype=float)
-    out = 0.5 * special.erfc(tau / math.sqrt(2.0))
+    out = 0.5 * _erfc(tau / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lu_factor, lu_solve
 
 from .graphs import BipartiteGraph, Biclique
 
@@ -47,6 +45,9 @@ EPS_PSD_DEFAULT = 1e-8
 EPS_FACTOR_DEFAULT = 1e-7
 PLATEAU_RTOL = 1e-3
 PLATEAU_WINDOW = 1000
+# Eigenvalues of C C^T below this fraction of the largest are dropped from
+# its pseudo-inverse; the strong relaxation's degree rows leave one at ~0.
+_PINV_CUTOFF = 1e-10
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible-at-tolerance"
@@ -395,12 +396,43 @@ def check_feasibility(
 # Solver
 
 
+class _Coupling(NamedTuple):
+    """A sparse matrix as index arrays: its terms twice, sorted by (row, col)
+    and by (col, row), with duplicate (row, col) terms summed once."""
+
+    num_rows: int
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    t_rows: np.ndarray
+    t_cols: np.ndarray
+    t_data: np.ndarray
+
+    def gram(self) -> np.ndarray:
+        """C C^T as a dense matrix, in O(nnz): the terms sharing a column sit
+        next to each other in (col, row) order, so pairs d apart in that order
+        are found with one comparison per offset d."""
+        m = self.num_rows
+        g = np.bincount(self.t_rows * (m + 1), weights=self.t_data**2, minlength=m * m)
+        upper = np.zeros(m * m)
+        for d in range(1, self.t_cols.size):
+            same = self.t_cols[:-d] == self.t_cols[d:]
+            if not same.any():
+                break
+            a, b = self.t_rows[:-d][same], self.t_rows[d:][same]
+            weights = self.t_data[:-d][same] * self.t_data[d:][same]
+            upper += np.bincount(a * m + b, weights=weights, minlength=m * m)
+        upper = upper.reshape(m, m)
+        return g.reshape(m, m) + upper + upper.T
+
+
 def _coupling_matrix(
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int, keep: np.ndarray
-) -> sp.csr_matrix:
-    """One row per (rows, cols, coeff) row of ``parts`` over the ``keep``
-    columns of vec(M), the row-major vector of length dim*dim; off-diagonal
-    terms split 0.5/0.5 between (r, c) and (c, r)."""
+) -> _Coupling:
+    """The matrix with one row per (rows, cols, coeff) row of ``parts`` over
+    the ``keep`` columns of vec(M), the row-major vector of length dim*dim,
+    as index arrays; off-diagonal terms split 0.5/0.5 between (r, c) and
+    (c, r)."""
     row_ids, col_ids, data = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
     offset = 0
     for rows, cols, coeff in parts:
@@ -413,8 +445,13 @@ def _coupling_matrix(
         col_ids.append(both[use])
         data.append(np.stack([half, half], axis=2)[use])
         offset += len(rows)
-    entries = (np.concatenate(data), (np.concatenate(row_ids), np.concatenate(col_ids)))
-    return sp.csr_matrix(entries, shape=(offset, dim * dim))
+    row_ids, col_ids, data = (np.concatenate(part) for part in (row_ids, col_ids, data))
+    # duplicates are summed in term order; unique keys come out (row, col)-sorted
+    keys, slot = np.unique(row_ids * (dim * dim) + col_ids, return_inverse=True)
+    data = np.bincount(slot, weights=data, minlength=keys.size)
+    rows, cols = np.divmod(keys, dim * dim)
+    order = np.lexsort((rows, cols))
+    return _Coupling(offset, rows, cols, data, rows[order], cols[order], data[order])
 
 
 class _ProjectionOps:
@@ -425,10 +462,15 @@ class _ProjectionOps:
     entry to zero; they become a mask over vec(M) covering both (r, c) and
     (c, r).  The rest -- anchor norm, norm links, mass and degree rows, 4n+3
     of them on the strong relaxation -- are the coupling rows C, with the
-    masked columns dropped.  The projection zeroes the masked entries, then
-    applies x - C^T (C C^T)^-1 (C x - d) on the free ones, with C C^T factored
-    once, densely, under a tiny ridge (the strong relaxation's degree rows
-    are rank-deficient by construction) plus one iterative-refinement step.
+    masked columns dropped, kept as index arrays (see _Coupling).  The
+    projection zeroes the masked entries, then applies x - C^T G^+ (C x - d)
+    on the free ones.  G = C C^T is built once per solve from C's terms, and
+    its pseudo-inverse G^+ from one eigendecomposition that drops the
+    eigenvalues below _PINV_CUTOFF of the largest (the strong relaxation's
+    degree rows are rank-deficient by construction).  Each call solves for
+    the multipliers with G^+ and one refinement step against G.  C x and
+    C^T lambda are bincounts over the terms in (row, col) and (col, row)
+    order, which sum each row and column in increasing index order.
 
     This is the exact Frobenius projection onto the whole equality set for
     symmetric input, and every iterate of the solver is symmetric: a zero
@@ -471,22 +513,22 @@ class _ProjectionOps:
         self.ineq_rows, self.ineq_cols, self.ineq_lo = (np.concatenate(part) for part in zip(*ineq))
         self.have_eq = bool(self.evaluate.equality.any())
         self.have_ineq = self.ineq_rows.size > 0
-        self._lu = None
-        if self.coupling.shape[0]:
-            gram = (self.coupling @ self.coupling.T).toarray()
-            diag_mean = gram.diagonal().mean()
-            ridge = 1e-12 * (diag_mean if diag_mean > 0 else 1.0)
+        self._pinv = None
+        if self.coupling.num_rows:
+            gram = self.coupling.gram()
+            w, v = np.linalg.eigh(gram)
+            keep = w > _PINV_CUTOFF * w[-1]
             self._gram = gram
-            self._lu = lu_factor(gram + ridge * np.eye(gram.shape[0]), check_finite=False)
-            self._coupling_t = self.coupling.T.tocsr()
+            self._pinv = (v[:, keep] / w[keep]) @ v[:, keep].T
 
     def proj_eq(self, x: np.ndarray) -> np.ndarray:
         vec = np.where(self.zero_mask, 0.0, x.ravel())
-        if self._lu is not None:
-            res = self.coupling @ vec - self.coupling_rhs
-            lam = lu_solve(self._lu, res, check_finite=False)
-            lam += lu_solve(self._lu, res - self._gram @ lam, check_finite=False)
-            vec -= self._coupling_t @ lam
+        if self._pinv is not None:
+            c = self.coupling
+            res = np.bincount(c.rows, weights=c.data * vec[c.cols], minlength=c.num_rows) - self.coupling_rhs
+            lam = self._pinv @ res
+            lam += self._pinv @ (res - self._gram @ lam)
+            vec -= np.bincount(c.t_cols, weights=c.t_data * lam[c.t_rows], minlength=vec.size)
         return vec.reshape(self.dim, self.dim)
 
     def proj_ineq(self, x: np.ndarray) -> np.ndarray:

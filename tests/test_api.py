@@ -1,7 +1,12 @@
-"""Every name the package and its modules export resolves."""
+"""Every name the package and its modules export resolves, and importing the
+package pulls in nothing beyond numpy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import mbb_sdp
 
@@ -18,3 +23,14 @@ def test_every_exported_name_resolves():
         assert exported, f"{module.__name__} has no __all__"
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing objects: {missing}"
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules the test session loaded do not count
+    package_root = str(Path(mbb_sdp.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = "import sys, mbb_sdp, mbb_sdp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

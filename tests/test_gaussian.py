@@ -60,6 +60,18 @@ def test_tail_matches_frozen_values():
         assert abs(std_normal_tail(x) - want) < 1e-15 * max(1.0, want)
 
 
+def test_tail_accepts_arrays():
+    xs = np.array(sorted(TAIL_AT))
+    got = std_normal_tail(xs)
+    assert got.shape == (3,)
+    for value, x in zip(got, xs):
+        assert abs(value - TAIL_AT[float(x)]) < 1e-15 * max(1.0, TAIL_AT[float(x)])
+    grid = std_normal_tail(xs.reshape(3, 1))
+    assert grid.shape == (3, 1) and np.array_equal(grid.ravel(), got)
+    zero_d = std_normal_tail(np.array(2.0))
+    assert isinstance(zero_d, float) and zero_d == std_normal_tail(2.0)
+
+
 def test_tail_matches_quadrature():
     # independent route: numerically integrate the density
     for tau in (0.0, 1.0, 2.0, 3.5, 5.0):

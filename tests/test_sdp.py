@@ -447,15 +447,48 @@ def test_proj_eq_factors_only_the_coupling_rows():
     problem = build_strong_relaxation(graph, 3)
     ops = _ProjectionOps(problem)
     # anchor norm, 2n norm links, two mass rows, 2n degree rows
-    assert ops.coupling.shape[0] == 4 * 10 + 3
+    assert ops.coupling.num_rows == 4 * 10 + 3
     assert _equality_system(problem)[0].shape[0] == 4 * 10 + 3 + graph.num_non_edges
     mask = ops.zero_mask.reshape(ops.dim, ops.dim)
     assert np.array_equal(mask, mask.T)
     assert mask.sum() == 2 * graph.num_non_edges
-    assert ops.coupling[:, ops.zero_mask].nnz == 0
+    assert not ops.zero_mask[ops.coupling.cols].any()
 
     hand = _ProjectionOps(_hand_built_problem())
-    assert hand.coupling.shape[0] == 4
+    assert hand.coupling.num_rows == 4
     assert sorted(map(tuple, np.argwhere(hand.zero_mask.reshape(4, 4)))) == [
         (0, 3), (1, 3), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)
     ]
+
+
+def test_coupling_terms_match_the_equality_system():
+    # both orders of the index arrays hold the coupling rows of the full
+    # equality system, minus their masked entries
+    from mbb_sdp.sdp import _ProjectionOps
+
+    problem = _hand_built_problem()
+    ops = _ProjectionOps(problem)
+    c = ops.coupling
+    dense = np.zeros((c.num_rows, problem.dim**2))
+    np.add.at(dense, (c.rows, c.cols), c.data)
+    coupling_rows = _equality_system(problem)[0][[0, 5, 6, 7]]  # anchor, link-1, mass, degree-1
+    assert np.array_equal(dense, np.where(ops.zero_mask, 0.0, coupling_rows))
+    assert np.array_equal(np.lexsort((c.cols, c.rows)), np.arange(c.rows.size))
+    assert np.array_equal(np.lexsort((c.t_rows, c.t_cols)), np.arange(c.t_rows.size))
+    assert sorted(zip(c.rows, c.cols, c.data)) == sorted(zip(c.t_rows, c.t_cols, c.t_data))
+    assert np.array_equal(c.gram(), dense @ dense.T)
+
+
+@pytest.mark.parametrize("n, k, p", [(32, 8, 0.1), (64, 12, 0.4)])
+def test_proj_eq_meets_the_coupling_rows_to_rounding(n, k, p):
+    # a ridged explicit inverse of C C^T leaves residuals near 1e-7 here
+    from mbb_sdp.sdp import _ProjectionOps
+
+    graph, _ = planted_instance(n, k, p, seed=1000 + n)
+    problem = build_strong_relaxation(graph, k)
+    ops = _ProjectionOps(problem)
+    x = np.random.default_rng(n).standard_normal((problem.dim, problem.dim))
+    y = ops.proj_eq(x + x.T)
+    residuals = ops.evaluate(y)[0][ops.evaluate.equality]
+    assert np.abs(residuals).max() <= 1e-12
+    assert np.abs(ops.proj_eq(y) - y).max() <= 1e-12
