@@ -106,10 +106,9 @@ class RoundingParams:
     tau_clamped: bool = False
 
     def __post_init__(self) -> None:
-        if self.ratio <= 0:
-            raise ValueError("ratio must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        for name in ("ratio", "tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         check_seed_and_trials(self.seed, self.trials)
 
     @property

@@ -113,7 +113,7 @@ class SdpProblem:
 
 
 class GramMatrix:
-    """A symmetric matrix wrapper with read-only storage."""
+    """A symmetric matrix wrapper with read-only storage; every entry must be finite."""
 
     __slots__ = ("entries",)
 
@@ -121,6 +121,8 @@ class GramMatrix:
         m = np.array(entries, dtype=float, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         m = 0.5 * (m + m.T)
         m.setflags(write=False)
         self.entries = m
@@ -195,9 +197,9 @@ class SolverConfig:
     at most this. Infeasibility is declared when the best violation sits
     above 10 * eps_feas without a PLATEAU_RTOL relative improvement over
     PLATEAU_WINDOW sweeps. warm_start, when given, is the first iterate.
-    eps_feas must be a positive number and max_iterations an integer (not a
-    bool) of at least 1: any other value can only give wrong verdicts, so it
-    raises.
+    eps_feas must be a positive finite number and max_iterations an integer
+    (not a bool) of at least 1: any other value can only give wrong
+    verdicts, so it raises.
     """
 
     eps_feas: float = EPS_FEAS_DEFAULT
@@ -209,8 +211,8 @@ class SolverConfig:
             raise ValueError(f"eps_feas must be a number, got {self.eps_feas!r}")
         if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if not self.eps_feas > 0:
-            raise ValueError(f"eps_feas must be positive, got {self.eps_feas}")
+        if not 0 < self.eps_feas < math.inf:
+            raise ValueError(f"eps_feas must be positive and finite, got {self.eps_feas}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
@@ -339,10 +341,11 @@ def indicator_gram(n_u: int, n_v: int, left: Iterable[int], right: Iterable[int]
 class _Evaluator:
     """Signed residual and violation of every row of a problem, in block order.
 
-    The blocks' terms are flattened once into indices over vec(M), the
-    row-major vector of length dim*dim.  A row's left-hand side sums its
-    terms in term order.  An equality row is violated by |residual|, a
-    ``>=`` row by its shortfall.
+    The problem's one row table: the blocks' terms are flattened once into
+    indices over vec(M), the row-major vector of length dim*dim, with each
+    row's term count in ``widths``.  A row's left-hand side sums its terms
+    in term order.  An equality row is violated by |residual|, a ``>=`` row
+    by its shortfall.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -354,13 +357,22 @@ class _Evaluator:
         self.coeff = joined([b.coeff.ravel() for b in blocks], float)
         self.rhs = joined([b.rhs for b in blocks], float)
         self.equality = joined([np.full(len(b), b.relation == "=") for b in blocks], bool)
-        widths = joined([np.full(len(b), b.coeff.shape[1]) for b in blocks], int)
-        self.row_of_term = np.repeat(np.arange(widths.size), widths)
+        self.widths = joined([np.full(len(b), b.coeff.shape[1]) for b in blocks], int)
+        self.row_of_term = np.repeat(np.arange(self.widths.size), self.widths)
 
     def __call__(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         terms = self.coeff * m.ravel()[self.flat]
         residuals = np.bincount(self.row_of_term, weights=terms, minlength=self.rhs.size) - self.rhs
         return residuals, np.where(self.equality, np.abs(residuals), np.maximum(0.0, -residuals))
+
+
+def _row_name(problem: SdpProblem, index: int) -> str:
+    """The name of row ``index`` in block order, the evaluator's row order."""
+    for block in problem.blocks:
+        if index < len(block):
+            return block.names[index]
+        index -= len(block)
+    raise IndexError(f"row {index} is outside the problem")
 
 
 def check_feasibility(
@@ -376,11 +388,7 @@ def check_feasibility(
     if violations.size:
         index = int(violations.argmax())
         max_violation = float(violations[index])
-        for block in problem.blocks:
-            if index < len(block):
-                worst = block.names[index]
-                break
-            index -= len(block)
+        worst = _row_name(problem, index)
     min_eig = float(np.linalg.eigvalsh(m)[0])
     return ViolationReport(
         residuals=residuals,
@@ -397,80 +405,72 @@ def check_feasibility(
 
 
 class _Coupling(NamedTuple):
-    """A sparse matrix as index arrays: its terms twice, sorted by (row, col)
-    and by (col, row), with duplicate (row, col) terms summed once."""
+    """A sparse matrix as index arrays: its terms once, sorted by (row, col),
+    with duplicate (row, col) terms summed once."""
 
     num_rows: int
     rows: np.ndarray
     cols: np.ndarray
     data: np.ndarray
-    t_rows: np.ndarray
-    t_cols: np.ndarray
-    t_data: np.ndarray
 
     def gram(self) -> np.ndarray:
-        """C C^T as a dense matrix, in O(nnz): the terms sharing a column sit
-        next to each other in (col, row) order, so pairs d apart in that order
-        are found with one comparison per offset d."""
+        """C C^T as a dense matrix, in O(nnz): sorted by (col, row), the terms
+        sharing a column sit next to each other, so pairs d apart in that
+        order are found with one comparison per offset d."""
         m = self.num_rows
-        g = np.bincount(self.t_rows * (m + 1), weights=self.t_data**2, minlength=m * m)
+        order = np.lexsort((self.rows, self.cols))
+        rows, cols, data = self.rows[order], self.cols[order], self.data[order]
+        g = np.bincount(rows * (m + 1), weights=data**2, minlength=m * m)
         upper = np.zeros(m * m)
-        for d in range(1, self.t_cols.size):
-            same = self.t_cols[:-d] == self.t_cols[d:]
+        for d in range(1, cols.size):
+            same = cols[:-d] == cols[d:]
             if not same.any():
                 break
-            a, b = self.t_rows[:-d][same], self.t_rows[d:][same]
-            weights = self.t_data[:-d][same] * self.t_data[d:][same]
+            a, b = rows[:-d][same], rows[d:][same]
+            weights = data[:-d][same] * data[d:][same]
             upper += np.bincount(a * m + b, weights=weights, minlength=m * m)
         upper = upper.reshape(m, m)
         return g.reshape(m, m) + upper + upper.T
 
 
-def _coupling_matrix(
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], dim: int, keep: np.ndarray
-) -> _Coupling:
-    """The matrix with one row per (rows, cols, coeff) row of ``parts`` over
-    the ``keep`` columns of vec(M), the row-major vector of length dim*dim,
-    as index arrays; off-diagonal terms split 0.5/0.5 between (r, c) and
-    (c, r)."""
-    row_ids, col_ids, data = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
-    offset = 0
-    for rows, cols, coeff in parts:
-        diag = rows == cols
-        both = np.stack([rows * dim + cols, cols * dim + rows], axis=2)
-        use = np.stack([np.ones_like(diag), ~diag], axis=2) & keep[both]
-        half = np.where(diag, coeff, 0.5 * coeff)
-        ids = offset + np.arange(len(rows))[:, None, None]
-        row_ids.append(np.broadcast_to(ids, both.shape)[use])
-        col_ids.append(both[use])
-        data.append(np.stack([half, half], axis=2)[use])
-        offset += len(rows)
-    row_ids, col_ids, data = (np.concatenate(part) for part in (row_ids, col_ids, data))
+def _coupling_matrix(table: _Evaluator, selected: np.ndarray, dim: int, keep: np.ndarray) -> _Coupling:
+    """The ``selected`` rows of the row table, in order, over the ``keep``
+    columns of vec(M), as index arrays; off-diagonal terms split 0.5/0.5
+    between (r, c) and (c, r)."""
+    picked = selected[table.row_of_term]
+    ids = (np.cumsum(selected) - 1)[table.row_of_term[picked]]
+    flat, coeff = table.flat[picked], table.coeff[picked]
+    r, c = np.divmod(flat, dim)
+    both = np.stack([flat, c * dim + r], axis=1)
+    use = np.stack([np.ones(flat.size, dtype=bool), r != c], axis=1) & keep[both]
+    half = np.where(r == c, coeff, 0.5 * coeff)
+    keys = np.broadcast_to(ids[:, None], both.shape)[use] * (dim * dim) + both[use]
     # duplicates are summed in term order; unique keys come out (row, col)-sorted
-    keys, slot = np.unique(row_ids * (dim * dim) + col_ids, return_inverse=True)
-    data = np.bincount(slot, weights=data, minlength=keys.size)
+    keys, slot = np.unique(keys, return_inverse=True)
+    data = np.bincount(slot, weights=np.stack([half, half], axis=1)[use], minlength=keys.size)
     rows, cols = np.divmod(keys, dim * dim)
-    order = np.lexsort((rows, cols))
-    return _Coupling(offset, rows, cols, data, rows[order], cols[order], data[order])
+    return _Coupling(int(selected.sum()), rows, cols, data)
 
 
 class _ProjectionOps:
-    """The solver's three projections: the equality affine set, the
-    allowed-entry orthant, and the PSD cone.
+    """The solver's three projections -- the equality affine set, the
+    allowed-entry orthant and the PSD cone -- read off the evaluator's rows.
 
-    The equality set splits in two.  Single-term rows with rhs 0 pin an
-    entry to zero; they become a mask over vec(M) covering both (r, c) and
-    (c, r).  The rest -- anchor norm, norm links, mass and degree rows, 4n+3
-    of them on the strong relaxation -- are the coupling rows C, with the
-    masked columns dropped, kept as index arrays (see _Coupling).  The
-    projection zeroes the masked entries, then applies x - C^T G^+ (C x - d)
-    on the free ones.  G = C C^T is built once per solve from C's terms, and
-    its pseudo-inverse G^+ from one eigendecomposition that drops the
+    Each row has one role, a boolean array over the evaluator's rows.  A pin
+    (``is_pin``) is an equality row with one nonzero term and rhs 0: the pins
+    become a mask over vec(M) covering both (r, c) and (c, r).  A bound
+    (``is_bound``) is a ``>=`` row with one positive term.  The other
+    equality rows -- anchor norm, norm links, mass and degree rows, 4n+3 of
+    them on the strong relaxation -- are the coupling rows C
+    (``is_coupling``), in row order, with the masked columns dropped (see
+    _Coupling).  The equality projection zeroes the masked entries, then
+    applies x - C^T G^+ (C x - d) on the free ones.  G = C C^T is built once
+    per solve, and G^+ from one eigendecomposition that drops the
     eigenvalues below _PINV_CUTOFF of the largest (the strong relaxation's
     degree rows are rank-deficient by construction).  Each call solves for
     the multipliers with G^+ and one refinement step against G.  C x and
-    C^T lambda are bincounts over the terms in (row, col) and (col, row)
-    order, which sum each row and column in increasing index order.
+    C^T lambda are bincounts over C's terms in (row, col) order, which sum
+    each row and each column in increasing index order.
 
     This is the exact Frobenius projection onto the whole equality set for
     symmetric input, and every iterate of the solver is symmetric: a zero
@@ -484,34 +484,28 @@ class _ProjectionOps:
 
     def __init__(self, problem: SdpProblem):
         dim = self.dim = problem.dim
-        self.evaluate = _Evaluator(problem)
+        table = self.evaluate = _Evaluator(problem)
+        eq, term_row = table.equality, table.row_of_term
+        single = table.widths == 1
+        lead = np.zeros(eq.size)
+        lead[single] = table.coeff[single[term_row]]
+        self.is_pin = eq & single & (table.rhs == 0.0) & (lead != 0.0)
+        self.is_coupling = eq & ~self.is_pin
+        self.is_bound = ~eq & single & (lead > 0)
+        supported = eq | self.is_bound
+        if not supported.all():
+            name = _row_name(problem, int(supported.argmin()))
+            raise ValueError(
+                f"the solver only supports single-entry lower bounds, constraint {name!r} is not one"
+            )
+        r, c = np.divmod(table.flat[self.is_pin[term_row]], dim)
         self.zero_mask = np.zeros(dim * dim, dtype=bool)
-        coupling = []
-        coupling_rhs = [np.empty(0)]
-        ineq = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0))]
-        for block in problem.blocks:
-            single = block.coeff.shape[1] == 1
-            if block.relation == "=":
-                zero = np.zeros(len(block), dtype=bool)
-                if single:
-                    zero = (block.rhs == 0.0) & (block.coeff[:, 0] != 0.0)
-                    r, c = block.rows[zero, 0], block.cols[zero, 0]
-                    self.zero_mask[r * dim + c] = True
-                    self.zero_mask[c * dim + r] = True
-                coupling.append((block.rows[~zero], block.cols[~zero], block.coeff[~zero]))
-                coupling_rhs.append(block.rhs[~zero])
-            else:
-                bad = block.coeff[:, 0] <= 0 if single else np.ones(len(block), dtype=bool)
-                if bad.any():
-                    raise ValueError(
-                        f"the solver only supports single-entry lower bounds, "
-                        f"constraint {block.names[int(bad.argmax())]!r} is not one"
-                    )
-                ineq.append((block.rows[:, 0], block.cols[:, 0], block.rhs / block.coeff[:, 0]))
-        self.coupling = _coupling_matrix(coupling, dim, keep=~self.zero_mask)
-        self.coupling_rhs = np.concatenate(coupling_rhs)
-        self.ineq_rows, self.ineq_cols, self.ineq_lo = (np.concatenate(part) for part in zip(*ineq))
-        self.have_eq = bool(self.evaluate.equality.any())
+        self.zero_mask[np.concatenate([r * dim + c, c * dim + r])] = True
+        self.coupling = _coupling_matrix(table, self.is_coupling, dim, keep=~self.zero_mask)
+        self.coupling_rhs = table.rhs[self.is_coupling]
+        self.ineq_rows, self.ineq_cols = np.divmod(table.flat[self.is_bound[term_row]], dim)
+        self.ineq_lo = table.rhs[self.is_bound] / lead[self.is_bound]
+        self.have_eq = bool(eq.any())
         self.have_ineq = self.ineq_rows.size > 0
         self._pinv = None
         if self.coupling.num_rows:
@@ -528,7 +522,7 @@ class _ProjectionOps:
             res = np.bincount(c.rows, weights=c.data * vec[c.cols], minlength=c.num_rows) - self.coupling_rhs
             lam = self._pinv @ res
             lam += self._pinv @ (res - self._gram @ lam)
-            vec -= np.bincount(c.t_cols, weights=c.t_data * lam[c.t_rows], minlength=vec.size)
+            vec -= np.bincount(c.cols, weights=c.data * lam[c.rows], minlength=vec.size)
         return vec.reshape(self.dim, self.dim)
 
     def proj_ineq(self, x: np.ndarray) -> np.ndarray:
@@ -641,7 +635,7 @@ def gram_to_vectors(gram: GramMatrix, sides: tuple[int, int]) -> VectorSolution:
     m = gram.entries
     dim = gram.dim
     w, v = np.linalg.eigh(m)
-    if w[0] < -EPS_PSD_DEFAULT:
+    if not w[0] >= -EPS_PSD_DEFAULT:
         raise ValueError(f"matrix is not PSD at tolerance {EPS_PSD_DEFAULT}: min eigenvalue {w[0]}")
     w = np.clip(w, 0.0, None)
     rows = v * np.sqrt(w)
@@ -660,7 +654,7 @@ def gram_to_vectors(gram: GramMatrix, sides: tuple[int, int]) -> VectorSolution:
         rows = rows - 2.0 * np.outer(rows @ hh, hh)
     clamped = (v * w) @ v.T
     err = float(np.abs(rows @ rows.T - clamped).max())
-    if err > EPS_FACTOR_DEFAULT:
+    if not err <= EPS_FACTOR_DEFAULT:
         raise ArithmeticError(f"factorization error {err} exceeds {EPS_FACTOR_DEFAULT}")
     return VectorSolution(dim=dim, anchor=target, vectors=rows[1:], sides=sides)
 
@@ -691,7 +685,7 @@ def gram_to_text(gram: GramMatrix) -> str:
 
 
 def gram_from_text(text: str) -> GramMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("c")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("c")]
     if not lines:
         raise ValueError("empty gram text")
     head = lines[0].split()

@@ -163,6 +163,14 @@ def test_solve_sdp_budget_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "solver-limit"
 
 
+def test_solve_sdp_rejects_infinite_eps_feas(tmp_path, capsys):
+    path = make_planted_file(tmp_path, capsys, n=8, k=3, p=0.2, seed=1)
+    rc, out, err = run_cli(capsys, "solve-sdp", "--input", str(path), "--k", "3", "--eps-feas", "inf")
+    assert rc == 1
+    assert out == ""
+    assert "mbb: error: eps_feas must be positive and finite" in err
+
+
 def test_round_command_deterministic(tmp_path, capsys):
     path = make_planted_file(tmp_path, capsys)
     gram_path = tmp_path / "solution.gram"

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -403,6 +404,18 @@ def test_run_experiment_error_rows_do_not_stop_the_batch(tmp_path):
     assert rows[1]["found_size"] == ""
     assert rows[0]["found_size"] == "2"
     assert rows[2]["found_size"] == "2"
+
+
+def test_run_experiment_rejects_infinite_eps_feas(tmp_path):
+    runs = [{"name": "loose", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {"eps_feas": math.inf}}]
+    spec = write_spec(tmp_path / "spec.json", runs)
+    assert "Infinity" in spec.read_text(encoding="utf-8")
+    csv_path = run_experiment(spec, output_dir=tmp_path / "out")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["method"] for r in rows] == ["error"]
+    report = json.loads((tmp_path / "out" / "loose.json").read_text(encoding="utf-8"))
+    assert "eps_feas must be positive and finite" in report["error"]["message"]
 
 
 def test_run_experiment_empty_spec(tmp_path):

@@ -72,6 +72,13 @@ def test_params_validation():
     with pytest.raises(ValueError, match="seed"):
         RoundingParams.for_instance(8, 2, seed=-1)
     assert RoundingParams(ratio=2.0, tau=0.5, trials=2**32, heavy_threshold=0.1).trials == 2**32
+    # a non-finite tau or ratio is named, not left to fail inside r_target
+    for field, value in (("tau", math.nan), ("tau", math.inf), ("ratio", math.nan), ("ratio", math.inf)):
+        kwargs = {"ratio": 2.0, "tau": 0.5, "trials": 1, "heavy_threshold": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            RoundingParams(**kwargs)
+    with pytest.raises(ValueError, match="^tau must be positive and finite"):
+        RoundingParams.for_instance(8, 2, tau=math.nan)
 
 
 def test_params_for_instance():

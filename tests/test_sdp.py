@@ -270,12 +270,33 @@ def test_solver_config_rejects_settings_that_give_wrong_verdicts():
         ({"eps_feas": 0.0}, "eps_feas must be positive"),
         ({"eps_feas": -1e-6}, "eps_feas must be positive"),
         ({"eps_feas": float("nan")}, "eps_feas must be positive"),
+        ({"eps_feas": math.inf}, "eps_feas must be positive and finite"),
         ({"max_iterations": 0}, "max_iterations must be at least 1"),
     ):
         with pytest.raises(ValueError, match=message):
             SolverConfig(**kwargs)
     # the smallest valid settings still build (a one-sweep probe)
     assert SolverConfig(max_iterations=1).max_iterations == 1
+
+
+def test_gram_input_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        GramMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        gram_from_text("gram 3\n1 nan 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ValueError, match="finite"):
+        gram_from_text("gram 2\ninf 0\n0 1\n")
+
+
+def test_gram_to_vectors_fails_closed_on_nan(monkeypatch):
+    # a NaN spectrum must raise, not pass both checks as False comparisons
+    gram = GramMatrix(np.eye(3))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(3, np.nan), np.eye(3)))
+    with pytest.raises(ValueError, match="not PSD"):
+        gram_to_vectors(gram, (1, 1))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([0.0, 1.0, 1.0]), np.full((3, 3), np.nan)))
+    with pytest.raises(ArithmeticError, match="factorization error"):
+        gram_to_vectors(gram, (1, 1))
 
 
 def test_export_problem_format():
@@ -327,6 +348,9 @@ def test_gram_text_round_trip():
     gram = weak_gap_solution(3)
     back = gram_from_text(gram_to_text(gram))
     assert np.array_equal(back.entries, gram.entries)
+    # a comment line is one that starts with c once stripped
+    commented = gram_from_text("gram 2\n  c note\n1 0\n\tc another\n0 1\n")
+    assert np.array_equal(commented.entries, np.eye(2))
 
 
 def test_solved_fixture_outcomes_pass_check(solved_planted):
@@ -462,8 +486,8 @@ def test_proj_eq_factors_only_the_coupling_rows():
 
 
 def test_coupling_terms_match_the_equality_system():
-    # both orders of the index arrays hold the coupling rows of the full
-    # equality system, minus their masked entries
+    # the index arrays hold the coupling rows of the full equality system,
+    # minus their masked entries, sorted by (row, col)
     from mbb_sdp.sdp import _ProjectionOps
 
     problem = _hand_built_problem()
@@ -474,9 +498,32 @@ def test_coupling_terms_match_the_equality_system():
     coupling_rows = _equality_system(problem)[0][[0, 5, 6, 7]]  # anchor, link-1, mass, degree-1
     assert np.array_equal(dense, np.where(ops.zero_mask, 0.0, coupling_rows))
     assert np.array_equal(np.lexsort((c.cols, c.rows)), np.arange(c.rows.size))
-    assert np.array_equal(np.lexsort((c.t_rows, c.t_cols)), np.arange(c.t_rows.size))
-    assert sorted(zip(c.rows, c.cols, c.data)) == sorted(zip(c.t_rows, c.t_cols, c.t_data))
     assert np.array_equal(c.gram(), dense @ dense.T)
+
+
+def test_every_row_has_one_role():
+    from mbb_sdp.sdp import _ProjectionOps
+
+    graph, _ = planted_instance(10, 3, 0.2, seed=4)
+    for problem in (_hand_built_problem(), build_strong_relaxation(graph, 3)):
+        ops = _ProjectionOps(problem)
+        table = ops.evaluate
+        roles = np.stack([ops.is_pin, ops.is_coupling, ops.is_bound])
+        assert roles.shape == (3, table.rhs.size)
+        assert (roles.sum(axis=0) == 1).all(), problem.label
+        assert np.array_equal(ops.is_pin | ops.is_coupling, table.equality)
+        # the coupling matrix's rows are the coupling-role rows, in row order
+        equality_rows = np.flatnonzero(table.equality)
+        system = _equality_system(problem)[0]
+        dense = np.zeros((ops.coupling.num_rows, problem.dim**2))
+        np.add.at(dense, (ops.coupling.rows, ops.coupling.cols), ops.coupling.data)
+        wanted = system[np.searchsorted(equality_rows, np.flatnonzero(ops.is_coupling))]
+        assert np.array_equal(dense, np.where(ops.zero_mask, 0.0, wanted))
+        assert np.array_equal(ops.coupling_rhs, table.rhs[ops.is_coupling])
+        assert ops.ineq_rows.size == ops.is_bound.sum()
+    hand = _ProjectionOps(_hand_built_problem())
+    assert hand.is_pin.tolist() == [False, True, True, True, True, False, False, False, False]
+    assert hand.is_bound.tolist() == [False] * 8 + [True]
 
 
 @pytest.mark.parametrize("n, k, p", [(32, 8, 0.1), (64, 12, 0.4)])
