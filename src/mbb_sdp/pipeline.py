@@ -8,9 +8,16 @@ common-neighbour core (no balanced biclique is larger; see
 ``graphs.common_neighbour_cores``).  Because the relaxation's mass rows are
 equalities, feasibility is not a priori monotone in k, so the search is a
 descending scan one k at a time: its first feasible k is the largest feasible
-k in range, and no k below it is solved.  Each k is solved first on its
-common-neighbour core, and on the whole graph when the core does not give a
-certificate.
+k in range, and no k below it is solved.
+
+The per-k rule: when k's common-neighbour core is smaller than the graph, k
+is solved first on the core, which holds every balanced k-biclique.  A
+feasible core Gram is padded with zeros: a removed vertex then reads 0 = 0 on
+its norm-link and degree rows, and a kept vertex's rows lose only zero terms.
+The padded Gram is accepted only when it passes ``check_feasibility`` on the
+whole graph's strong relaxation.  Any other core outcome, or a core that is
+the whole graph, solves the whole graph, so every k the whole-graph solve
+calls feasible is still called feasible.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .graphs import (
     planted_instance,
     verify_biclique,
 )
-from .rounding import RoundingParams, RoundingRun, check_seed_and_trials, diagnostics, round_many
+from .rounding import RoundingParams, check_seed_and_trials, diagnostics, round_many
 from .sdp import (
     FeasibilityOutcome,
     GramMatrix,
@@ -200,91 +207,55 @@ def greedy_baseline(graph: BipartiteGraph) -> Biclique:
     return Biclique.from_graph(graph, best_realization[0], best_realization[1])
 
 
-def _pad_gram(gram: GramMatrix, graph: BipartiteGraph, left: np.ndarray, right: np.ndarray) -> GramMatrix:
-    """Embed a Gram matrix over an induced subgraph (anchor, then ``left``,
-    then ``right``) into ``graph``'s index space, with zeros for every vertex
-    outside the subgraph."""
-    index = np.concatenate([[0], 1 + left, 1 + graph.n_u + right])
-    padded = np.zeros((1 + graph.n_u + graph.n_v,) * 2)
-    padded[np.ix_(index, index)] = gram.entries
-    return GramMatrix(padded)
-
-
-class _KSearch:
-    """Feasibility tester that records one entry, and the wall-clock seconds
-    of its builds and solves, per solved k.
-
-    Each k is solved first on ``cores[k - 1]``, an induced subgraph that
-    holds every balanced k-biclique (the pipeline passes the common-neighbour
-    cores).  A feasible core Gram is padded with zeros: a removed vertex
-    then reads 0 = 0 on its norm-link and degree rows, and a kept vertex's
-    rows lose only zero terms, whatever subgraph was removed.  The padded Gram is accepted only when it passes ``check_feasibility`` on the
-    whole graph's strong relaxation.  Any other core outcome, or a core that
-    is the whole graph, solves the whole graph, so every k the whole-graph
-    solve calls feasible is still called feasible.
-    """
-
-    def __init__(
-        self, graph: BipartiteGraph, config: PipelineConfig, cores: list[tuple[np.ndarray, np.ndarray]]
-    ):
-        self.graph = graph
-        self.config = config
-        self.cores = cores
-        self.records: dict[int, dict] = {}
-        self.seconds: dict[int, float] = {}
-        self.solutions: dict[int, FeasibilityOutcome] = {}
-
-    def _solve_core(self, k: int, left: np.ndarray, right: np.ndarray) -> FeasibilityOutcome | None:
-        """The core's outcome with its Gram padded to the whole graph, or None
-        unless the core is feasible and the padded Gram passes the check."""
-        core, _, _ = induced_subgraph(self.graph, left, right)
-        outcome = solve_feasibility(build_strong_relaxation(core, k), self.config.solver)
-        if not outcome.feasible:
-            return None
-        padded = _pad_gram(outcome.gram, self.graph, left, right)
-        check = check_feasibility(build_strong_relaxation(self.graph, k), padded, self.config.solver.eps_feas)
-        if not check.passed:
-            return None
-        return replace(outcome, gram=padded, max_violation=check.max_violation)
-
-    def feasible(self, k: int) -> bool:
-        t0 = time.perf_counter()
-        left, right = self.cores[k - 1]
-        outcome = None
-        if left.size < self.graph.n_u or right.size < self.graph.n_v:
-            outcome = self._solve_core(k, left, right)
-        solved_on = "core"
-        if outcome is None:
-            solved_on = "graph"
-            outcome = solve_feasibility(build_strong_relaxation(self.graph, k), self.config.solver)
-        self.seconds[k] = time.perf_counter() - t0
-        self.records[k] = {
-            "k": k,
-            "status": outcome.status,
-            "max_violation": outcome.max_violation,
-            "iterations": outcome.iterations,
-            "core": [int(left.size), int(right.size)],
-            "solved_on": solved_on,
-        }
+def _solve_k(
+    graph: BipartiteGraph, k: int, core: tuple[np.ndarray, np.ndarray], solver: SolverConfig
+) -> tuple[FeasibilityOutcome, str]:
+    """The strong relaxation's outcome at k on the whole graph's index space,
+    and where it was solved ("core" or "graph"), by the module's per-k rule."""
+    left, right = core
+    if left.size < graph.n_u or right.size < graph.n_v:
+        sub, _, _ = induced_subgraph(graph, left, right)
+        outcome = solve_feasibility(build_strong_relaxation(sub, k), solver)
         if outcome.feasible:
-            self.solutions[k] = outcome
-        return outcome.feasible
+            index = np.concatenate([[0], 1 + left, 1 + graph.n_u + right])
+            padded = np.zeros((1 + graph.n_u + graph.n_v,) * 2)
+            padded[np.ix_(index, index)] = outcome.gram.entries
+            gram = GramMatrix(padded)
+            check = check_feasibility(build_strong_relaxation(graph, k), gram, solver.eps_feas)
+            if check.passed:
+                return replace(outcome, gram=gram, max_violation=check.max_violation), "core"
+    return solve_feasibility(build_strong_relaxation(graph, k), solver), "graph"
 
-    def per_k(self) -> list[dict]:
-        return [self.records[k] for k in sorted(self.records)]
 
+def _search(
+    graph: BipartiteGraph, cores: list[tuple[np.ndarray, np.ndarray]], solver: SolverConfig
+) -> tuple[int | None, FeasibilityOutcome | None, list[dict], list[dict]]:
+    """Solve k = len(cores), ..., 1, each on ``cores[k - 1]``, and stop at the
+    first feasible k.
 
-def _scan_descending(search: _KSearch, k_hi: int) -> int | None:
-    """Test k = k_hi, k_hi - 1, ..., 1 and return the first feasible k, or None.
-
-    Every k above the returned one tested infeasible, so it is the largest
-    feasible k in [1, k_hi] even when feasibility is not monotone, and no
-    k below it is solved: the scan costs exactly the solves in [k*, k_hi].
+    Returns k* and its outcome (None and None when no k is feasible), then
+    one report row and one seconds row per solved k, in ascending k.
     """
-    for k in range(k_hi, 0, -1):
-        if search.feasible(k):
-            return k
-    return None
+    per_k: list[dict] = []
+    seconds: list[dict] = []
+    for k in range(len(cores), 0, -1):
+        core = cores[k - 1]
+        t0 = time.perf_counter()
+        outcome, solved_on = _solve_k(graph, k, core, solver)
+        seconds.append({"k": k, "seconds": time.perf_counter() - t0})
+        per_k.append(
+            {
+                "k": k,
+                "status": outcome.status,
+                "max_violation": outcome.max_violation,
+                "iterations": outcome.iterations,
+                "core": [int(side.size) for side in core],
+                "solved_on": solved_on,
+            }
+        )
+        if outcome.feasible:
+            return k, outcome, per_k[::-1], seconds[::-1]
+    return None, None, per_k[::-1], seconds[::-1]
 
 
 def approximate_mbb(
@@ -311,29 +282,22 @@ def approximate_mbb(
     t0 = time.perf_counter()
     cores = common_neighbour_cores(graph)
     # A scan's first feasible k is the largest, so it meets no non-monotone
-    # anomaly; the key stays in the report's schema, always empty.
+    # anomaly; the key stays in the report, always empty, for bench/tracing.py.
     search_meta: dict = {"per_k": [], "k_star": None, "anomalies": [], "core_cap": len(cores)}
     rounding_dict = None
     diag_dict = None
     candidates: list[tuple[str, Biclique]] = []
 
-    k_star = None
-    run: RoundingRun | None = None
     if graph.num_edges > 0:
         # No balanced biclique is larger than the core cap, and the cap is at
         # least 1 because the k = 1 core holds every edge.
-        k_hi = len(cores)
-        if config.k_hi is not None:
-            k_hi = min(k_hi, config.k_hi)
-        searcher = _KSearch(graph, config, cores)
-        k_star = _scan_descending(searcher, k_hi)
-        search_meta.update(per_k=searcher.per_k(), k_star=k_star)
+        k_star, outcome, per_k, per_k_seconds = _search(graph, cores[: config.k_hi], config.solver)
+        search_meta.update(per_k=per_k, k_star=k_star)
         timings["search"] = time.perf_counter() - t0
-        timings["per_k"] = [{"k": k, "seconds": searcher.seconds[k]} for k in sorted(searcher.seconds)]
+        timings["per_k"] = per_k_seconds
 
         if k_star is not None:
             t0 = time.perf_counter()
-            outcome = searcher.solutions[k_star]
             solution = gram_to_vectors(outcome.gram, sides=(graph.n_u, graph.n_v))
             params = RoundingParams.for_instance(n, k_star, trials=config.trials, seed=config.seed)
             run = round_many(solution, graph, params)
@@ -423,6 +387,13 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(solver=solver, **{k: v for k, v in raw.items() if k in _PIPELINE_KEYS})
 
 
+def _json_object(value, key: str) -> dict:
+    """``value``, which the spec's ``key`` holds, checked to be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {json.dumps(value)}")
+    return value
+
+
 def _run_entry_error(run_spec, name: str, uses: int) -> str | None:
     """Why a spec's run entry cannot run and write its report file under
     ``name``, or None when it can."""
@@ -444,22 +415,27 @@ def run_experiment(
 
     Writes one report JSON per run plus ``aggregate.csv`` (columns: instance,
     n, planted_k, found_size, exact_size, method, time) into the output
-    directory, atomically.  A failing run becomes an ``error`` row, its JSON
-    holds an ``error`` object with the exception type and message, and one
-    line goes to stderr; the rest still complete.  A run entry must be a
-    JSON object, and its name a plain file name (not empty, ``.`` or ``..``,
-    no path separator) used by no other run of the spec; an entry that
-    breaks this becomes an ``error`` row and a stderr line but writes no
-    file.  A missing or null name is ``run-<index>``.  ``exact`` and the
-    config's ``use_exact`` must be JSON booleans.  Returns the CSV path.
+    directory, atomically.  The spec must be a JSON object and its ``runs``
+    a JSON array, otherwise nothing runs and ValueError names the key.  A
+    failing run becomes an ``error`` row, its JSON holds an ``error`` object
+    with the exception type and message, and one line goes to stderr; the
+    rest still complete.  A run entry must be a JSON object, and its name a
+    plain file name (not empty, ``.`` or ``..``, no path separator) used by
+    no other run of the spec; an entry that breaks this becomes an
+    ``error`` row and a stderr line but writes no file.  A missing or null
+    name is ``run-<index>``.  A run's ``generator`` and ``config`` must be
+    JSON objects, and ``exact`` and the config's ``use_exact`` JSON
+    booleans.  Returns the CSV path.
     """
     spec_path = Path(spec_path)
-    spec = json.loads(spec_path.read_text(encoding="utf-8"))
+    spec = _json_object(json.loads(spec_path.read_text(encoding="utf-8")), "spec")
+    runs = spec.get("runs", [])
+    if not isinstance(runs, list):
+        raise ValueError(f"runs must be a JSON array, got {json.dumps(runs)}")
     base_dir = spec_path.parent
     out = Path(output_dir) if output_dir is not None else base_dir / spec.get("output_dir", "reports")
     out.mkdir(parents=True, exist_ok=True)
 
-    runs = spec.get("runs", [])
     names = [
         f"run-{idx}" if not isinstance(run_spec, dict) or run_spec.get("name") is None else str(run_spec["name"])
         for idx, run_spec in enumerate(runs)
@@ -474,8 +450,8 @@ def run_experiment(
         try:
             if entry_error is not None:
                 raise ValueError(entry_error)
-            graph, planted_k = _build_instance(run_spec.get("generator", {}), base_dir)
-            config = _config_from_dict(dict(run_spec.get("config", {})))
+            graph, planted_k = _build_instance(_json_object(run_spec.get("generator", {}), "generator"), base_dir)
+            config = _config_from_dict(_json_object(run_spec.get("config", {}), "config"))
             exact = run_spec.get("exact", False)
             if not isinstance(exact, bool):
                 raise ValueError(f"exact must be true or false, got {json.dumps(exact)}")

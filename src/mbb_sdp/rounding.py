@@ -61,9 +61,8 @@ _MAX_TRIALS = 2**32
 # 128 and 256 cost about the same and 32 half again as much; a larger block
 # only raises peak memory.
 _BLOCK = 256
-# Trials whose masks round_many deduplicates together (a whole number of
-# blocks), and survivor sets scored together; it bounds the masks and the
-# float64 scoring arrays held at once, whatever the trial count.
+# Survivor sets scored together; it bounds the float64 scoring arrays held
+# at once, whatever the number of distinct sets.
 _CHUNK = 8 * _BLOCK
 
 
@@ -93,7 +92,8 @@ class RoundingParams:
     """Knobs for one rounding run, and the only place they are decided.
 
     ratio is n/k (instance size over target biclique size); heavy_threshold
-    defaults to 1/(8 ratio); tau_clamped says whether for_instance raised the
+    defaults to 1/(8 ratio) and must be non-negative and finite (0 makes
+    every vertex heavy); tau_clamped says whether for_instance raised the
     default tau to TAU_FLOOR; per-trial generators are derived from (seed,
     trial index), so outcomes are reproducible and order-independent.
     """
@@ -109,6 +109,8 @@ class RoundingParams:
         for name in ("ratio", "tau"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.heavy_threshold < math.inf:
+            raise ValueError(f"heavy_threshold must be non-negative and finite, got {self.heavy_threshold}")
         check_seed_and_trials(self.seed, self.trials)
 
     @property
@@ -308,36 +310,26 @@ def _distinct_masks(prepared: _Prepared, params: RoundingParams) -> tuple[np.nda
     """The run's distinct survivor masks over the members (left, then
     right), in order of first appearance, and each trial's row among them.
 
-    Masks come from _block_masks a block at a time and are deduplicated
-    _CHUNK trials at a time against the sets already seen; with no members
-    every mask is the one empty mask.
+    Masks come from _block_masks a block at a time and are kept packed, one
+    key of ceil(members / 8) bytes per trial; one np.unique over the run's
+    keys finds the distinct sets.  With no members every mask is the one
+    empty mask.
     """
     unit = prepared.unit_vectors
-    trial_set = np.zeros(params.trials, dtype=np.intp)
-    if not unit.shape[0]:
-        return np.zeros((1, 0), dtype=bool), trial_set
-    distinct = []
-    known = _row_keys(np.zeros((0, unit.shape[0]), dtype=bool))
-    for start in range(0, params.trials, _CHUNK):
-        stop = min(start + _CHUNK, params.trials)
-        masks = np.concatenate(
-            [
-                _block_masks(unit, params.tau, params.seed, b, min(b + _BLOCK, stop))
-                for b in range(start, stop, _BLOCK)
-            ]
-        )
-        # known keys are distinct, so each one's first index is its set id
-        seen = known.size
-        keys = np.concatenate([known, _row_keys(masks)])
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        new = np.flatnonzero(first >= seen)
-        new = new[np.argsort(first[new])]
-        set_id = first.copy()
-        set_id[new] = seen + np.arange(new.size)
-        trial_set[start:stop] = set_id[inverse[seen:]]
-        distinct.append(masks[first[new] - seen])
-        known = np.concatenate([known, keys[first[new]]])
-    return np.concatenate(distinct), trial_set
+    members = unit.shape[0]
+    if not members:
+        return np.zeros((1, 0), dtype=bool), np.zeros(params.trials, dtype=np.intp)
+    keys = np.concatenate(
+        [
+            _row_keys(_block_masks(unit, params.tau, params.seed, b, min(b + _BLOCK, params.trials)))
+            for b in range(0, params.trials, _BLOCK)
+        ]
+    )
+    # np.unique sorts stably, so each key's first index is its first trial
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    packed = keys[first[order]].view(np.uint8).reshape(order.size, -1)
+    return np.unpackbits(packed, axis=1, count=members).view(bool), np.argsort(order)[inverse]
 
 
 @dataclass(frozen=True)

@@ -556,16 +556,22 @@ class _ProjectionOps:
         return np.zeros((self.dim, self.dim))
 
 
-def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityOutcome:
-    """Douglas-Rachford splitting on the product space.
+def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -> FeasibilityOutcome:
+    """Find a PSD matrix satisfying the problem, or report why not, by
+    Douglas-Rachford splitting on the product space.
 
     Each constraint family keeps its own copy of the matrix; the consensus
     set forces the copies equal (projection is averaging) and one sweep
     reflects the average through every family's projection.  Converges far
-    faster than cyclic projections when the feasible set is thin.  On
-    inconsistent systems the averaged iterate stalls at a positive gap, which
-    the plateau rule reports as infeasible-at-tolerance.
+    faster than cyclic projections when the feasible set is thin.
+    Statuses: ``feasible`` with a Gram certificate whose worst violation is
+    at most config.eps_feas; ``infeasible-at-tolerance`` when the violation
+    plateaus above 10x that tolerance, as the averaged iterate does at a
+    positive gap on inconsistent systems; ``solver-limit`` when the
+    iteration budget runs out, with the best violation the plateau rule
+    tracked, or when numerics fail, with an infinite violation.
     """
+    config = config or SolverConfig()
     iterations = 0
     check_every = 5
     try:
@@ -582,7 +588,6 @@ def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityO
         weight = 1.0 / len(copies)
 
         best = math.inf
-        best_candidate = start
         stalled = 0
         for iterations in range(1, config.max_iterations + 1):
             average = copies[0].copy()
@@ -599,27 +604,14 @@ def _solve_product_dr(problem: SdpProblem, config: SolverConfig) -> FeasibilityO
                     return FeasibilityOutcome(FEASIBLE, GramMatrix(candidate), viol, iterations)
                 if viol < best * (1.0 - PLATEAU_RTOL):
                     best = viol
-                    best_candidate = candidate
                     stalled = 0
                 else:
                     stalled += check_every
                 if stalled >= PLATEAU_WINDOW and best > 10.0 * config.eps_feas:
                     return FeasibilityOutcome(INFEASIBLE, None, viol, iterations)
-        return FeasibilityOutcome(SOLVER_LIMIT, None, ops.violation(best_candidate), iterations)
+        return FeasibilityOutcome(SOLVER_LIMIT, None, best, iterations)
     except (np.linalg.LinAlgError, RuntimeError, MemoryError):
         return FeasibilityOutcome(SOLVER_LIMIT, None, math.inf, iterations)
-
-
-def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -> FeasibilityOutcome:
-    """Find a PSD matrix satisfying the problem, or report why not.
-
-    The solver is product-space Douglas-Rachford.  Statuses: ``feasible``
-    with a Gram certificate whose worst violation is at most config.eps_feas;
-    ``infeasible-at-tolerance`` when the violation plateaus above 10x that
-    tolerance; ``solver-limit`` when the iteration budget runs out or
-    numerics fail.
-    """
-    return _solve_product_dr(problem, config or SolverConfig())
 
 
 def gram_to_vectors(gram: GramMatrix, sides: tuple[int, int]) -> VectorSolution:

@@ -310,6 +310,26 @@ def test_bench_command(tmp_path, capsys):
     assert (out_dir / "tiny.json").exists()
 
 
+def test_bench_rejects_a_spec_that_is_not_an_object(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"name": "tiny", "generator": {"type": "complete", "n_u": 2, "n_v": 2}}]))
+    out_dir = tmp_path / "results"
+    rc, out, err = run_cli(capsys, "bench", "--spec", str(spec), "--output-dir", str(out_dir))
+    assert (rc, out) == (1, "")
+    assert err.startswith("mbb: error: spec must be a JSON object, got [")
+    assert not out_dir.exists()
+
+
+def test_bench_rejects_runs_that_are_not_an_array(tmp_path, capsys):
+    # a string would otherwise run each of its characters as a run entry
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"runs": "ab"}))
+    out_dir = tmp_path / "results"
+    rc, out, err = run_cli(capsys, "bench", "--spec", str(spec), "--output-dir", str(out_dir))
+    assert (rc, out, err) == (1, "", 'mbb: error: runs must be a JSON array, got "ab"\n')
+    assert not out_dir.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])

@@ -10,6 +10,8 @@ from conftest import PLANTED_CASES, reference_peel
 
 from mbb_sdp import (
     FEASIBLE,
+    INFEASIBLE,
+    FeasibilityOutcome,
     PipelineConfig,
     SolverConfig,
     approximate_mbb,
@@ -86,27 +88,29 @@ def test_core_cap_bounds():
     assert core_cap(g) == 3
 
 
-class _FakeVerdicts:
-    """Stands in for the k-search's feasibility tester: fixed verdicts, no
-    SDP, every query logged."""
+def _check_scan(monkeypatch, feasible_ks, k_hi):
+    """Run the k-search on fixed verdicts (no SDP) over k_hi stand-in cores,
+    core k being k x (k + 1), and log every solved k."""
+    solved = []
 
-    def __init__(self, feasible_ks):
-        self.feasible_ks = frozenset(feasible_ks)
-        self.queries = []
+    def fixed_verdict(graph, k, core, solver):
+        solved.append(k)
+        assert [core[0].size, core[1].size] == [k, k + 1]
+        return FeasibilityOutcome(FEASIBLE if k in feasible_ks else INFEASIBLE, None, 0.0, k), "core"
 
-    def feasible(self, k):
-        self.queries.append(k)
-        return k in self.feasible_ks
-
-
-def _check_scan(feasible_ks, k_hi):
-    oracle = _FakeVerdicts(feasible_ks)
-    k_star = pipeline_module._scan_descending(oracle, k_hi)
+    monkeypatch.setattr(pipeline_module, "_solve_k", fixed_verdict)
+    cores = [(np.arange(k), np.arange(k + 1)) for k in range(1, k_hi + 1)]
+    k_star, outcome, per_k, seconds = pipeline_module._search(None, cores, FAST_SOLVER)
     in_range = [k for k in feasible_ks if k <= k_hi]
     assert k_star == (max(in_range) if in_range else None)
+    assert outcome is None if k_star is None else outcome.feasible and outcome.iterations == k_star
     # exactly k_hi, k_hi - 1, ..., k*, top down: nothing below k* is solved
     bottom = 1 if k_star is None else k_star
-    assert oracle.queries == list(range(k_hi, bottom - 1, -1))
+    assert solved == list(range(k_hi, bottom - 1, -1))
+    # one report row and one seconds row per solved k, both in ascending k
+    assert [row["k"] for row in per_k] == [row["k"] for row in seconds] == solved[::-1]
+    assert [row["core"] for row in per_k] == [[k, k + 1] for k in solved[::-1]]
+    assert [row["status"] == FEASIBLE for row in per_k] == [k == k_star for k in solved[::-1]]
 
 
 @pytest.mark.parametrize(
@@ -116,16 +120,16 @@ def _check_scan(feasible_ks, k_hi):
         ({4, 10}, 40),  # the same verdicts scanned from the side size
     ],
 )
-def test_scan_descending_stops_at_the_largest_feasible_k(feasible_ks, k_hi):
-    _check_scan(feasible_ks, k_hi)
+def test_scan_descending_stops_at_the_largest_feasible_k(monkeypatch, feasible_ks, k_hi):
+    _check_scan(monkeypatch, feasible_ks, k_hi)
 
 
-def test_scan_descending_on_every_small_verdict_set():
+def test_scan_descending_on_every_small_verdict_set(monkeypatch):
     ks = range(1, 7)
     for mask in range(1 << len(ks)):
         feasible_ks = {k for k in ks if mask >> (k - 1) & 1}
         for k_hi in ks:
-            _check_scan(feasible_ks, k_hi)
+            _check_scan(monkeypatch, feasible_ks, k_hi)
 
 
 def plain_cores(graph):
@@ -151,16 +155,14 @@ def test_core_solves_are_certified_on_the_whole_graph():
     fallbacks = 0
     for g in graphs:
         cores = plain_cores(g)
-        searcher = pipeline_module._KSearch(g, config, cores)
-        assert pipeline_module._scan_descending(searcher, len(cores)) is not None
-        for rec in searcher.per_k():
+        k_star, outcome, per_k, _ = pipeline_module._search(g, cores, config.solver)
+        assert [rec["k"] for rec in per_k] == list(range(k_star, len(cores) + 1))
+        assert check_feasibility(build_strong_relaxation(g, k_star), outcome.gram, config.solver.eps_feas).passed
+        for rec in per_k:
             k = rec["k"]
             left, right = cores[k - 1]
             assert rec["core"] == [left.size, right.size]
             whole = build_strong_relaxation(g, k)
-            if rec["status"] == FEASIBLE:
-                gram = searcher.solutions[k].gram
-                assert check_feasibility(whole, gram, config.solver.eps_feas).passed
             core, _, _ = induced_subgraph(g, left, right)
             proper = core.n_u + core.n_v < g.n_u + g.n_v
             core_status = solve_feasibility(build_strong_relaxation(core, k), config.solver).status
@@ -494,6 +496,40 @@ def test_run_experiment_rejects_path_like_run_names(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 6
     assert err[0] == "mbb: run ../../escaped failed: ValueError: run name '../../escaped' is not a plain file name"
+
+
+def _only_error(tmp_path, run):
+    """Run a one-run spec; return its aggregate row's method and its error object."""
+    out = tmp_path / "out"
+    csv_path = run_experiment(write_spec(tmp_path / "spec.json", [run]), output_dir=out)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    return row["method"], json.loads((out / f"{run['name']}.json").read_text(encoding="utf-8"))["error"]
+
+
+def test_run_experiment_rejects_a_config_list(tmp_path):
+    run = {"name": "listed", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": [1]}
+    assert _only_error(tmp_path, run) == (
+        "error",
+        {"type": "ValueError", "message": "config must be a JSON object, got [1]"},
+    )
+
+
+def test_run_experiment_rejects_a_config_of_key_value_pairs(tmp_path):
+    # dict() would read this as seed 3
+    run = {"name": "pairs", "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": [["seed", 3]]}
+    assert _only_error(tmp_path, run) == (
+        "error",
+        {"type": "ValueError", "message": 'config must be a JSON object, got [["seed", 3]]'},
+    )
+
+
+def test_run_experiment_rejects_a_generator_that_is_not_an_object(tmp_path):
+    run = {"name": "named", "generator": "planted", "config": {"trials": 8}}
+    assert _only_error(tmp_path, run) == (
+        "error",
+        {"type": "ValueError", "message": 'generator must be a JSON object, got "planted"'},
+    )
 
 
 def test_run_experiment_rejects_unknown_config_keys(tmp_path):

@@ -79,6 +79,12 @@ def test_params_validation():
             RoundingParams(**kwargs)
     with pytest.raises(ValueError, match="^tau must be positive and finite"):
         RoundingParams.for_instance(8, 2, tau=math.nan)
+    # a NaN cut would silently make no vertex heavy
+    for value in (math.nan, -1.0, -1e-300, math.inf):
+        with pytest.raises(ValueError, match="^heavy_threshold must be non-negative and finite"):
+            RoundingParams(ratio=2.0, tau=0.5, trials=1, heavy_threshold=value)
+    for value in (0.0, 2.0):  # every vertex heavy, or none
+        assert RoundingParams(ratio=2.0, tau=0.5, trials=1, heavy_threshold=value).heavy_threshold == value
 
 
 def test_params_for_instance():
