@@ -121,8 +121,8 @@ class PipelineConfig:
 
 
 # The keys of a spec run's flat ``config`` object, which is also the report's
-# ``config`` echo: every settable value except the solver's warm start.
-_SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig)) - {"warm_start"}
+# ``config`` echo: every settable value.
+_SOLVER_KEYS = frozenset(f.name for f in fields(SolverConfig))
 _PIPELINE_KEYS = frozenset(f.name for f in fields(PipelineConfig)) - {"solver"}
 
 
@@ -361,17 +361,21 @@ def approximate_mbb(
 def _build_instance(gen: dict, base_dir: Path) -> tuple[BipartiteGraph, int | None]:
     """Materialize a run's instance; returns (graph, planted k when known)."""
     kind = gen.get("type", "planted")
+
+    def value(key: str, kinds=int, what: str = "a JSON integer", default=None):
+        raw = gen[key] if default is None else gen.get(key, default)
+        return _json_value(raw, f"generator {key}", kinds, what)
+
     if kind == "planted":
-        graph, planted = planted_instance(
-            int(gen["n"]), int(gen["k"]), float(gen.get("p", 0.0)), int(gen.get("seed", 0))
-        )
+        p = value("p", (int, float), "a JSON number", 0.0)
+        graph, planted = planted_instance(value("n"), value("k"), float(p), value("seed", default=0))
         return graph, planted.biclique.size
     if kind == "empty":
-        return empty_bipartite(int(gen["n_u"]), int(gen["n_v"])), None
+        return empty_bipartite(value("n_u"), value("n_v")), None
     if kind == "complete":
-        return complete_bipartite(int(gen["n_u"]), int(gen["n_v"])), None
+        return complete_bipartite(value("n_u"), value("n_v")), None
     if kind == "file":
-        path = Path(gen["path"])
+        path = Path(value("path", str, "a JSON string"))
         if not path.is_absolute():
             path = base_dir / path
         return parse_graph(path.read_text(encoding="utf-8")), None
@@ -387,10 +391,11 @@ def _config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(solver=solver, **{k: v for k, v in raw.items() if k in _PIPELINE_KEYS})
 
 
-def _json_object(value, key: str) -> dict:
-    """``value``, which the spec's ``key`` holds, checked to be a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a JSON object, got {json.dumps(value)}")
+def _json_value(value, key: str, kinds=dict, what: str = "a JSON object"):
+    """``value``, which the spec's ``key`` holds, checked to be ``what``: an
+    instance of ``kinds`` and not a bool, which JSON keeps apart from numbers."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
     return value
 
 
@@ -423,17 +428,18 @@ def run_experiment(
     plain file name (not empty, ``.`` or ``..``, no path separator) used by
     no other run of the spec; an entry that breaks this becomes an
     ``error`` row and a stderr line but writes no file.  A missing or null
-    name is ``run-<index>``.  A run's ``generator`` and ``config`` must be
-    JSON objects, and ``exact`` and the config's ``use_exact`` JSON
-    booleans.  Returns the CSV path.
+    name is ``run-<index>``.  The spec's ``output_dir`` must be a JSON
+    string.  A run's ``generator`` and ``config`` must be JSON objects,
+    ``exact`` and the config's ``use_exact`` JSON booleans, the generator's
+    ``n``, ``k``, ``seed``, ``n_u`` and ``n_v`` JSON integers, its ``p`` a
+    JSON number and its ``path`` a JSON string.  Returns the CSV path.
     """
     spec_path = Path(spec_path)
-    spec = _json_object(json.loads(spec_path.read_text(encoding="utf-8")), "spec")
-    runs = spec.get("runs", [])
-    if not isinstance(runs, list):
-        raise ValueError(f"runs must be a JSON array, got {json.dumps(runs)}")
+    spec = _json_value(json.loads(spec_path.read_text(encoding="utf-8")), "spec")
+    runs = _json_value(spec.get("runs", []), "runs", list, "a JSON array")
+    spec_out = _json_value(spec.get("output_dir", "reports"), "output_dir", str, "a JSON string")
     base_dir = spec_path.parent
-    out = Path(output_dir) if output_dir is not None else base_dir / spec.get("output_dir", "reports")
+    out = Path(output_dir) if output_dir is not None else base_dir / spec_out
     out.mkdir(parents=True, exist_ok=True)
 
     names = [
@@ -450,8 +456,8 @@ def run_experiment(
         try:
             if entry_error is not None:
                 raise ValueError(entry_error)
-            graph, planted_k = _build_instance(_json_object(run_spec.get("generator", {}), "generator"), base_dir)
-            config = _config_from_dict(_json_object(run_spec.get("config", {}), "config"))
+            graph, planted_k = _build_instance(_json_value(run_spec.get("generator", {}), "generator"), base_dir)
+            config = _config_from_dict(_json_value(run_spec.get("config", {}), "config"))
             exact = run_spec.get("exact", False)
             if not isinstance(exact, bool):
                 raise ValueError(f"exact must be true or false, got {json.dumps(exact)}")

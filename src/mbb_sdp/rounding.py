@@ -91,17 +91,16 @@ def check_seed_and_trials(seed: int, trials: int | None) -> None:
 class RoundingParams:
     """Knobs for one rounding run, and the only place they are decided.
 
-    ratio is n/k (instance size over target biclique size); heavy_threshold
-    defaults to 1/(8 ratio) and must be non-negative and finite (0 makes
-    every vertex heavy); tau_clamped says whether for_instance raised the
-    default tau to TAU_FLOOR; per-trial generators are derived from (seed,
-    trial index), so outcomes are reproducible and order-independent.
+    ratio is n/k (instance size over target biclique size), and the heavy
+    cut 1/(8 ratio) follows from it; tau_clamped says whether for_instance
+    raised the default tau to TAU_FLOOR; per-trial generators are derived
+    from (seed, trial index), so outcomes are reproducible and
+    order-independent.
     """
 
     ratio: float
     tau: float
     trials: int
-    heavy_threshold: float
     seed: int = 0
     tau_clamped: bool = False
 
@@ -109,9 +108,12 @@ class RoundingParams:
         for name in ("ratio", "tau"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.heavy_threshold < math.inf:
-            raise ValueError(f"heavy_threshold must be non-negative and finite, got {self.heavy_threshold}")
         check_seed_and_trials(self.seed, self.trials)
+
+    @property
+    def heavy_threshold(self) -> float:
+        """Mass a vertex needs to be heavy: 1/(8 ratio)."""
+        return 1.0 / (8.0 * self.ratio)
 
     @property
     def r_target(self) -> int:
@@ -137,7 +139,6 @@ class RoundingParams:
             ratio=ratio,
             tau=tau,
             trials=default_trials(n) if trials is None else int(trials),
-            heavy_threshold=1.0 / (8.0 * ratio),
             seed=int(seed),
             tau_clamped=clamped,
         )
@@ -156,16 +157,13 @@ class TrialOutcome:
     potential: int
     event_held: bool
     biclique: Biclique | None
-    dropped_members: tuple[tuple[str, int], ...] = ()
 
 
-def heavy_sets(
-    solution: VectorSolution, ratio: float, threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def heavy_sets(solution: VectorSolution, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Vertices with mass at least 1/(8 ratio), boundary inclusive, per side."""
     if ratio <= 0:
         raise ValueError("ratio must be positive")
-    thr = 1.0 / (8.0 * ratio) if threshold is None else float(threshold)
+    thr = 1.0 / (8.0 * ratio)
     masses = solution.masses()
     n_u = solution.sides[0]
     left = np.flatnonzero(masses[:n_u] >= thr)
@@ -253,27 +251,18 @@ class _Prepared:
     left_members: np.ndarray
     right_members: np.ndarray
     unit_vectors: np.ndarray
-    dropped: tuple[tuple[str, int], ...]
 
 
 def _prepare(solution: VectorSolution, params: RoundingParams) -> _Prepared:
-    left, right = heavy_sets(solution, params.ratio, params.heavy_threshold)
+    left, right = heavy_sets(solution, params.ratio)
     vectors, masses, shifted, norms_sq = _shifted_members(solution, left, right)
-    keep = norms_sq >= _DEGENERATE_NORM**2
-    n_left = left.size
-    dropped = tuple(
-        ("U", int(left[i])) if i < n_left else ("V", int(right[i - n_left]))
-        for i in np.flatnonzero(~keep)
-    )
-    left = left[keep[:n_left]]
-    right = right[keep[n_left:]]
     if left.size or right.size:
         slack = float(np.abs(np.einsum("ij,ij->i", vectors, vectors) - masses).max())
         tol = max(_SHIFT_TOL, 4.0 * slack + 1e-12)
-        unit = _unit_shifted(vectors[keep], masses[keep], shifted[keep], norms_sq[keep], tol)
+        unit = _unit_shifted(vectors, masses, shifted, norms_sq, tol)
     else:
         unit = np.zeros((0, solution.dim))
-    return _Prepared(left, right, unit, dropped)
+    return _Prepared(left, right, unit)
 
 
 def _block_masks(unit: np.ndarray, tau: float, seed: int, start: int, stop: int) -> np.ndarray:
@@ -367,7 +356,6 @@ class _ScoredSets:
                 potential=potential,
                 event_held=held,
                 biclique=None if b < 0 else self.bicliques[b],
-                dropped_members=prepared.dropped,
             )
             for flags, edges, non_edges, potential, held, b in zip(
                 self.masks.tolist(),
@@ -568,7 +556,7 @@ def diagnostics(
     n = max(graph.n_u, graph.n_v)
     ratio, tau = params.ratio, params.tau
     k = n / ratio
-    left, right = heavy_sets(solution, ratio, params.heavy_threshold)
+    left, right = heavy_sets(solution, ratio)
     lv = solution.left_vectors()[left]
     rv = solution.right_vectors()[right]
     masses = solution.masses()

@@ -196,7 +196,7 @@ class SolverConfig:
     eps_feas: a point is accepted feasible when every constraint violation is
     at most this. Infeasibility is declared when the best violation sits
     above 10 * eps_feas without a PLATEAU_RTOL relative improvement over
-    PLATEAU_WINDOW sweeps. warm_start, when given, is the first iterate.
+    PLATEAU_WINDOW sweeps.
     eps_feas must be a positive finite number and max_iterations an integer
     (not a bool) of at least 1: any other value can only give wrong
     verdicts, so it raises.
@@ -204,7 +204,6 @@ class SolverConfig:
 
     eps_feas: float = EPS_FEAS_DEFAULT
     max_iterations: int = 20000
-    warm_start: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.eps_feas, bool) or not isinstance(self.eps_feas, numbers.Real):
@@ -547,14 +546,6 @@ class _ProjectionOps:
         violations = self.evaluate(x)[1]
         return float(violations.max()) if violations.size else 0.0
 
-    def start_point(self, config: SolverConfig) -> np.ndarray:
-        if config.warm_start is not None:
-            x = np.array(config.warm_start, dtype=float)
-            if x.shape != (self.dim, self.dim):
-                raise ValueError(f"warm start shape {x.shape} does not match dim {self.dim}")
-            return 0.5 * (x + x.T)
-        return np.zeros((self.dim, self.dim))
-
 
 def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -> FeasibilityOutcome:
     """Find a PSD matrix satisfying the problem, or report why not, by
@@ -583,8 +574,7 @@ def solve_feasibility(problem: SdpProblem, config: SolverConfig | None = None) -
             projections.append(ops.proj_ineq)
         projections.append(ops.proj_psd)
 
-        start = ops.start_point(config)
-        copies = [start.copy() for _ in projections]
+        copies = [np.zeros((ops.dim, ops.dim)) for _ in projections]
         weight = 1.0 / len(copies)
 
         best = math.inf

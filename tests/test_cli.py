@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -207,6 +208,23 @@ def test_round_command_deterministic(tmp_path, capsys):
     assert payload["best"] is not None
     assert payload["extraction_count"] >= 1
     assert payload["pair_mass"] >= payload["pair_mass_floor"] - 1e-3
+
+
+def test_round_command_bytes_pinned(tmp_path, capsys):
+    # digest recorded before the heavy cut became a property of the ratio and
+    # the solver lost its warm start; the payload must not change by a byte
+    path = make_planted_file(tmp_path, capsys, n=16, k=4, p=0.2, seed=3)
+    gram_path = tmp_path / "solution.gram"
+    rc, _, _ = run_cli(capsys, "solve-sdp", "--input", str(path), "--k", "4", "--gram-output", str(gram_path))
+    assert rc == 0
+    rc, out, _ = run_cli(
+        capsys, "round", "--input", str(path), "--gram", str(gram_path), "--k", "4", "--seed", "3"
+    )
+    assert rc == 0
+    assert json.loads(out)["trials"] == 4096
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4f613f56ef380695679719ae973d27ac8eaede5a0ef999fb98bb7d078df686f8"
+    )
 
 
 def test_extract_command_success_without_deletions(tmp_path, capsys):

@@ -532,6 +532,34 @@ def test_run_experiment_rejects_a_generator_that_is_not_an_object(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        ({"type": "planted", "n": 6.9, "k": 2}, "generator n must be a JSON integer, got 6.9"),
+        ({"type": "planted", "n": 6, "k": True}, "generator k must be a JSON integer, got true"),
+        ({"type": "planted", "n": "8", "k": 2}, 'generator n must be a JSON integer, got "8"'),
+        ({"type": "planted", "n": 8, "k": 2, "seed": 1.0}, "generator seed must be a JSON integer, got 1.0"),
+        ({"type": "planted", "n": 8, "k": 2, "p": False}, "generator p must be a JSON number, got false"),
+        ({"type": "planted", "n": 8, "k": 2, "p": "0.1"}, 'generator p must be a JSON number, got "0.1"'),
+        ({"type": "complete", "n_u": 2.0, "n_v": 2}, "generator n_u must be a JSON integer, got 2.0"),
+        ({"type": "empty", "n_u": 2, "n_v": None}, "generator n_v must be a JSON integer, got null"),
+        ({"type": "file", "path": 5}, "generator path must be a JSON string, got 5"),
+    ],
+)
+def test_run_experiment_checks_the_generator_value_types(tmp_path, generator, message):
+    # int() and float() would read 6.9 as 6, true as 1 and "8" as 8
+    run = {"name": "typed", "generator": generator, "config": {"trials": 8}}
+    assert _only_error(tmp_path, run) == ("error", {"type": "ValueError", "message": message})
+
+
+def test_run_experiment_rejects_an_output_dir_that_is_not_a_string(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"output_dir": 5, "runs": [_tiny_run("ok")]}), encoding="utf-8")
+    with pytest.raises(ValueError, match="^output_dir must be a JSON string, got 5$"):
+        run_experiment(spec)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
 def test_run_experiment_rejects_unknown_config_keys(tmp_path):
     # settings the config once had and no longer takes
     retired = {
@@ -541,6 +569,7 @@ def test_run_experiment_rejects_unknown_config_keys(tmp_path):
         "use_baseline": True,
         "exact_size_limit": 24,
         "plateau_window": 1000,
+        "warm_start": None,
     }
     runs = [
         {"name": key, "generator": {"type": "complete", "n_u": 2, "n_v": 2}, "config": {key: value}}

@@ -60,31 +60,25 @@ def test_default_trials_values():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        RoundingParams(ratio=0.0, tau=0.5, trials=1, heavy_threshold=0.1)
+        RoundingParams(ratio=0.0, tau=0.5, trials=1)
     with pytest.raises(ValueError):
-        RoundingParams(ratio=2.0, tau=0.0, trials=1, heavy_threshold=0.1)
+        RoundingParams(ratio=2.0, tau=0.0, trials=1)
     with pytest.raises(ValueError):
-        RoundingParams(ratio=2.0, tau=0.5, trials=0, heavy_threshold=0.1)
+        RoundingParams(ratio=2.0, tau=0.5, trials=0)
     with pytest.raises(ValueError, match="trials"):
-        RoundingParams(ratio=2.0, tau=0.5, trials=2**32 + 1, heavy_threshold=0.1)
+        RoundingParams(ratio=2.0, tau=0.5, trials=2**32 + 1)
     with pytest.raises(ValueError, match="seed"):
-        RoundingParams(ratio=2.0, tau=0.5, trials=1, heavy_threshold=0.1, seed=-1)
+        RoundingParams(ratio=2.0, tau=0.5, trials=1, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         RoundingParams.for_instance(8, 2, seed=-1)
-    assert RoundingParams(ratio=2.0, tau=0.5, trials=2**32, heavy_threshold=0.1).trials == 2**32
+    assert RoundingParams(ratio=2.0, tau=0.5, trials=2**32).trials == 2**32
     # a non-finite tau or ratio is named, not left to fail inside r_target
     for field, value in (("tau", math.nan), ("tau", math.inf), ("ratio", math.nan), ("ratio", math.inf)):
-        kwargs = {"ratio": 2.0, "tau": 0.5, "trials": 1, "heavy_threshold": 0.1, field: value}
+        kwargs = {"ratio": 2.0, "tau": 0.5, "trials": 1, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
             RoundingParams(**kwargs)
     with pytest.raises(ValueError, match="^tau must be positive and finite"):
         RoundingParams.for_instance(8, 2, tau=math.nan)
-    # a NaN cut would silently make no vertex heavy
-    for value in (math.nan, -1.0, -1e-300, math.inf):
-        with pytest.raises(ValueError, match="^heavy_threshold must be non-negative and finite"):
-            RoundingParams(ratio=2.0, tau=0.5, trials=1, heavy_threshold=value)
-    for value in (0.0, 2.0):  # every vertex heavy, or none
-        assert RoundingParams(ratio=2.0, tau=0.5, trials=1, heavy_threshold=value).heavy_threshold == value
 
 
 def test_params_for_instance():
@@ -96,7 +90,7 @@ def test_params_for_instance():
     assert params.trials == 4096
     assert params.seed == 9
     assert params.r_target == 1
-    wide = RoundingParams(ratio=1.0, tau=20.0, trials=1, heavy_threshold=0.125)
+    wide = RoundingParams(ratio=1.0, tau=20.0, trials=1)
     assert wide.r_target == math.floor(analysis_size_target(1.0, 20.0)) > 1
     small = RoundingParams.for_instance(8, 2)
     assert small.tau == 0.5 and small.tau_clamped
@@ -243,19 +237,6 @@ def test_rounding_requires_matching_sides():
         round_once(off, graph, params)
 
 
-def test_zero_threshold_drops_degenerate_members():
-    n, k = 8, 2
-    graph, _ = planted_instance(n, k, 0.0, seed=3)
-    sol = indicator_solution(n, range(k), range(k))
-    params = RoundingParams(ratio=4.0, tau=0.5, trials=1, heavy_threshold=0.0, seed=0)
-    outcome = round_once(sol, graph, params)
-    dropped = set(outcome.dropped_members)
-    expected = {("U", i) for i in range(k, n)} | {("V", j) for j in range(k, n)}
-    assert dropped == expected
-    assert set(outcome.left_survivors) <= set(range(k))
-    assert set(outcome.right_survivors) <= set(range(k))
-
-
 def test_diagnostics_on_indicator():
     n, k = 16, 4
     graph, planted = planted_instance(n, k, 0.0, seed=9)
@@ -292,7 +273,6 @@ def test_weak_gap_solution_defeats_rounding():
         ratio=2.0,
         tau=params.tau,
         trials=64,
-        heavy_threshold=1.0 / 16.0,
         seed=1,
     )
     run = round_many(sol, graph, params)
@@ -432,24 +412,26 @@ def test_diagnostics_reports_the_params_tau_clamp():
         diag = diagnostics(sol, graph, params)
         assert (diag.tau, diag.tau_clamped) == (params.tau, params.tau_clamped)
     assert diagnostics(sol, graph, RoundingParams.for_instance(n, k)).tau_clamped
-    # the heavy cut is the params' too, not one worked out again from the ratio
-    params = dataclasses.replace(RoundingParams.for_instance(n, k), heavy_threshold=2.0)
+    # the heavy cut follows the params' ratio: 1/16 puts it at a mass of 2
+    params = dataclasses.replace(RoundingParams.for_instance(n, k), ratio=1.0 / 16.0)
     diag = diagnostics(sol, graph, params)
     assert diag.left_heavy == diag.right_heavy == ()
 
 
 def test_round_many_bytes_pinned(solved_planted):
     # digests recorded before extraction moved onto the array core and the
-    # per-mask memo; the outcomes must not change by a byte
+    # per-mask memo, and re-recorded when the outcomes lost their
+    # always-empty dropped_members key (the old outcomes without that key
+    # hash to these same digests); the outcomes must not change by a byte
     case = next(c for c in solved_planted if (c.n, c.k, c.p) == (32, 8, 0.2))
     sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
     run = round_many(sol, case.graph, RoundingParams.for_instance(case.n, case.k, trials=2000))
-    assert _run_digest(run) == "3e489b4352a6c6d5619eb759011c6ff15de3084aa1d9b973a8d722735a254ebd"
+    assert _run_digest(run) == "fb993dd54b522a7119aaadd3ebf40eb548fd1c8dfb89363d4ea638b45d2b1a42"
     case = next(c for c in solved_planted if (c.n, c.k, c.p) == (8, 2, 0.2))
     sol = gram_to_vectors(case.outcome.gram, sides=(case.n, case.n))
     run = round_many(sol, case.graph, RoundingParams.for_instance(case.n, case.k))
     assert run.distinct_sets == 209
-    assert _run_digest(run) == "8ee84845339d3e9926abfefade0f2fbcbd2439fa775293ca98059ada94f1d39d"
+    assert _run_digest(run) == "9499ad3c280053848ed2e1727134e2dd72d7b9763758e6543f6fc0f26b14b200"
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70 + 3])
@@ -514,8 +496,9 @@ def test_round_many_without_members_draws_nothing(monkeypatch):
     graph, _ = planted_instance(n, k, 0.2, seed=5)
     sol = indicator_solution(n, range(k), range(k))
     trials = rounding_module._BLOCK + 7
-    # no vertex reaches a mass threshold of 2, so no trial has a member
-    params = RoundingParams(ratio=4.0, tau=0.5, trials=trials, heavy_threshold=2.0, seed=1)
+    # ratio 1/16 puts the heavy cut at a mass of 2, which no vertex reaches,
+    # so no trial has a member
+    params = RoundingParams(ratio=1.0 / 16.0, tau=0.5, trials=trials, seed=1)
     monkeypatch.setattr(rounding_module, "seeded_normals", None)
     run = round_many(sol, graph, params)
     assert len(run.outcomes) == trials

@@ -181,15 +181,6 @@ def test_solver_limit_on_tiny_budget():
     assert out.iterations == 3
 
 
-def test_warm_start_resolves_quickly():
-    g, _ = planted_instance(12, 4, 0.3, seed=7)
-    problem = build_strong_relaxation(g, 4)
-    first = solve_feasibility(problem, SolverConfig())
-    again = solve_feasibility(problem, SolverConfig(warm_start=first.gram.entries))
-    assert again.status == FEASIBLE
-    assert again.iterations <= first.iterations
-
-
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
